@@ -18,7 +18,6 @@ from .trees import (
     ResourceLimitError,
     RootedTree,
     bba_decode,
-    bba_encode,
     canonicalize,
     embedding_count,
     enumerate_planar,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -45,11 +46,10 @@ from .hopf_trees import (
     pairing_kp_hf,
     pairing_kt_hk,
 )
-from .scalar import ONE_POLY, Poly, QP, QQ
+from .scalar import ONE_POLY, Poly, QP, QQ, signed_join
 from .symfun import (
     Composition,
     Partition,
-    basis_expand,
     nsym_ops,
     qsym_ops,
     sym_ops,
@@ -307,10 +307,7 @@ class _Parser:
         if kind in ("e", "h", "p"):
             if self.algebra != "sym":
                 self.error(f"token {kind}[..] does not belong to {self.algebra}", start)
-            acc = LinComb.term(self.ring, Partition())
-            for k in parts:
-                acc = symfun.sym_product(acc, basis_expand(kind, k, self.ring))
-            return acc
+            return symfun.product_expansion(kind, tuple(parts), self.ring)
         self.error("unknown basis token", start)
 
     # -- terms and expressions
@@ -439,11 +436,7 @@ def render_lincomb(x: LinComb, algebra: str) -> str:
         else:
             body = f"{coeff}*{mono}"
         pieces.append((neg, body))
-    neg, body = pieces[0]
-    out = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return signed_join(pieces)
 
 
 def render_tensor(t: TensorElem, algebra: str) -> str:
@@ -456,11 +449,7 @@ def render_tensor(t: TensorElem, algebra: str) -> str:
         if coeff != "1":
             body = f"{coeff}*{body}"
         pieces.append((neg, body))
-    neg, body = pieces[0]
-    out = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return signed_join(pieces)
 
 
 def lincomb_json(x: LinComb, algebra: str) -> list:
@@ -501,7 +490,7 @@ def _cmd_op(args) -> int:
             raise ExprParseError(0, "product needs --expr2")
         other = parse_expr(args.expr2, args.algebra, args.scalars)
         result = ops.product_lc(expr.value, other.value)
-        _emit_lincomb(result, args)
+        _emit_lincomb(result, args.algebra, args.format)
     elif args.kind == "coproduct":
         result = ops.coproduct_lc(expr.value)
         if args.format == "json":
@@ -518,7 +507,7 @@ def _cmd_op(args) -> int:
             print(render_tensor(result, args.algebra))
     elif args.kind == "antipode":
         result = ops.antipode_lc(expr.value)
-        _emit_lincomb(result, args)
+        _emit_lincomb(result, args.algebra, args.format)
     elif args.kind == "pair":
         if args.expr2 is None:
             raise ExprParseError(0, "pair needs --expr2")
@@ -534,16 +523,12 @@ def _cmd_op(args) -> int:
     return 0
 
 
-def _emit_lincomb(x: LinComb, args) -> None:
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"algebra": args.algebra, "terms": lincomb_json(x, args.algebra)},
-                indent=2,
-            )
-        )
+def _emit_lincomb(x: LinComb, algebra: str, fmt: str) -> None:
+    if fmt == "json":
+        payload = {"algebra": algebra, "terms": lincomb_json(x, algebra)}
+        print(json.dumps(payload, indent=2))
     else:
-        print(render_lincomb(x, args.algebra))
+        print(render_lincomb(x, algebra))
 
 
 _MAPS = {
@@ -561,15 +546,7 @@ _MAPS = {
 def _cmd_map(args) -> int:
     domain, codomain, func = _MAPS[args.name]
     expr = parse_expr(args.expr, domain, args.scalars)
-    result = func(expr.value)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"algebra": codomain, "terms": lincomb_json(result, codomain)}, indent=2
-            )
-        )
-    else:
-        print(render_lincomb(result, codomain))
+    _emit_lincomb(func(expr.value), codomain, args.format)
     return 0
 
 
@@ -585,29 +562,14 @@ def _cmd_special(args) -> int:
         print(render_lincomb(special.natural_growth(expr.value, args.k), "gl"))
         return 0
     if args.what == "check":
-        n = args.max_degree
-        reports = [
-            special.proposition_check(n),
-            special.growth_formulas_check(n),
-            special.lemma_check(n + 1),
-        ]
-        return _emit_reports(reports, args.format)
+        return _emit_reports(_suite_special(args.max_degree), args.format)
     raise ValueError(args.what)
 
 
 def _cmd_dse(args) -> int:
     sol = dse_mod.solve_recursive(args.max_degree)
     closed = dse_mod.solve_closed(args.max_degree)
-    reports = []
-    rep = Report("solution consistency", args.max_degree)
-    rep.law(
-        "recursive matches closed form",
-        range(1, args.max_degree + 1),
-        lambda n: None
-        if sol.hf(n) == closed.hf(n) and sol.hk(n) == closed.hk(n)
-        else f"degree {n}",
-    )
-    reports.append(rep)
+    reports = [_consistency_report(sol, closed)]
     if args.check_coproduct:
         reports.append(
             dse_mod.coproduct_theorem_check(
@@ -662,9 +624,9 @@ def _suite_special(n: int):
     ]
 
 
-def _suite_dse(n: int):
-    sol = dse_mod.solve_recursive(n)
-    closed = dse_mod.solve_closed(n)
+def _consistency_report(sol, closed) -> Report:
+    """The recursive and the closed DSE solution agree in every degree."""
+    n = sol.max_degree
     rep = Report("solution consistency", n)
     rep.law(
         "recursive matches closed form",
@@ -673,6 +635,13 @@ def _suite_dse(n: int):
         if sol.hf(d) == closed.hf(d) and sol.hk(d) == closed.hk(d)
         else f"degree {d}",
     )
+    return rep
+
+
+def _suite_dse(n: int):
+    sol = dse_mod.solve_recursive(n)
+    closed = dse_mod.solve_closed(n)
+    rep = _consistency_report(sol, closed)
     rep.law(
         "ladders at p=1",
         range(1, n + 1),
@@ -791,7 +760,17 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe must fail here, inside the try
+    except BrokenPipeError:
+        # The reader has gone (e.g. `| head`).  Point stdout at devnull so the
+        # flush at interpreter exit cannot fail again, and exit like Python
+        # does on EPIPE, without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .freemodule import LinComb, Report, TensorElem
@@ -21,6 +22,7 @@ from .hopf_trees import (
 )
 from .morphisms import rho
 from .scalar import ONE_POLY, Poly, QQ, QP, binom_of, binom_poly, poly_eval
+from .special import multinomial
 from .symfun import compositions_of_length, partitions_of
 from .trees import (
     EMPTY_FOREST,
@@ -158,7 +160,7 @@ def q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
     for mu in partitions_of(n - k):
         mults = mu.multiplicities()
         q = mu.length
-        scalar = binom_of(arg, q) * _multinomial(mults.values())
+        scalar = binom_of(arg, q) * multinomial(mults.values())
         prod = LinComb.term(QP, EMPTY_FOREST)
         for part in mu.parts:
             prod = ck.product_lc(prod, sol.hk(part))
@@ -186,14 +188,6 @@ def Q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
     return acc
 
 
-def _multinomial(parts) -> int:
-    parts = list(parts)
-    out = factorial(sum(parts))
-    for x in parts:
-        out //= factorial(x)
-    return out
-
-
 def coproduct_theorem_check(
     max_degree_hk: int, max_degree_hf: int | None = None, sol: DSESolution | None = None
 ) -> Report:
@@ -208,39 +202,36 @@ def coproduct_theorem_check(
     ck = ck_ops(QP)
     hf = hf_ops(QP)
 
-    def hk_case(n):
-        lhs = ck.coproduct_lc(sol.hk(n))
-        rhs = TensorElem.tensor(sol.hk(n), LinComb.term(QP, EMPTY_FOREST))
+    def formula_sides(ops, part, poly, n) -> tuple:
+        """The coproduct of the degree-n part, and its closed formula."""
+        lhs = ops.coproduct_lc(part(n))
+        rhs = TensorElem.tensor(part(n), ops.one_lc())
         for k in range(1, n + 1):
-            rhs = rhs + TensorElem.tensor(q_poly(n, k, sol), sol.hk(k))
-        if lhs != rhs:
-            return f"n={n}"
-        return None
+            rhs = rhs + TensorElem.tensor(poly(n, k, sol), part(k))
+        return lhs, rhs
+
+    @lru_cache(maxsize=None)
+    def hk_sides(n):
+        return formula_sides(ck, sol.hk, q_poly, n)
+
+    def hk_case(n):
+        lhs, rhs = hk_sides(n)
+        return None if lhs == rhs else f"n={n}"
 
     rep.law("commutative coproduct formula", range(1, max_degree_hk + 1), hk_case)
 
     def hf_case(n):
-        lhs = hf.coproduct_lc(sol.hf(n))
-        rhs = TensorElem.tensor(sol.hf(n), LinComb.term(QP, EMPTY_ORDERED))
-        for k in range(1, n + 1):
-            rhs = rhs + TensorElem.tensor(Q_poly(n, k, sol), sol.hf(k))
-        if lhs != rhs:
-            return f"n={n}"
-        return None
+        lhs, rhs = formula_sides(hf, sol.hf, Q_poly, n)
+        return None if lhs == rhs else f"n={n}"
 
     rep.law("planar coproduct formula", range(1, max_degree_hf + 1), hf_case)
 
+    def at_2(x: TensorElem) -> TensorElem:
+        return TensorElem(QQ, {pair: poly_eval(c, 2) for pair, c in x.terms.items()})
+
     def eval_case(n):
-        lhs = ck.coproduct_lc(sol.hk(n))
-        rhs = TensorElem.tensor(sol.hk(n), LinComb.term(QP, EMPTY_FOREST))
-        for k in range(1, n + 1):
-            rhs = rhs + TensorElem.tensor(q_poly(n, k, sol), sol.hk(k))
-        at2 = lambda q: poly_eval(q, 2)
-        lhs2 = TensorElem(QQ, {pair: at2(c) for pair, c in lhs.terms.items()})
-        rhs2 = TensorElem(QQ, {pair: at2(c) for pair, c in rhs.terms.items()})
-        if lhs2 != rhs2:
-            return f"n={n}"
-        return None
+        lhs, rhs = hk_sides(n)
+        return None if at_2(lhs) == at_2(rhs) else f"n={n}"
 
     rep.law("rational specialization at p=2", range(1, min(max_degree_hk, 5) + 1), eval_case)
     return rep

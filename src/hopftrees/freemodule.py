@@ -355,7 +355,11 @@ class ReportEntry:
         return f"{status} {self.law}{deg}{extra}{wit}"
 
     def as_json(self) -> dict:
-        out = {"law": self.law, "status": "pass" if self.ok else "fail"}
+        out = {
+            "law": self.law,
+            "status": "pass" if self.ok else "fail",
+            "checked": self.checked,
+        }
         if self.degree is not None:
             out["degree"] = self.degree
         if self.witness is not None:

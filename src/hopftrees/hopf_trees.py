@@ -9,7 +9,6 @@ of bracket arrangements, H_F is the tensor algebra on planar trees.
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache
 
 from .freemodule import HopfOps, LinComb, TensorElem
@@ -29,6 +28,7 @@ from .trees import (
     canonicalize,
     enumerate_planar,
     enumerate_rooted,
+    env_ceiling,
     sym_order,
     to_planar,
 )
@@ -72,16 +72,6 @@ def ordered_forests_of_weight(n: int):
 
 # ---------------------------------------------------------------------------
 # cuts
-
-
-def cut_ceiling() -> int:
-    env = os.environ.get("HOPFTREES_MAX_DEGREE")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return CUT_VERTEX_CAP
 
 
 class Cut:
@@ -155,9 +145,10 @@ def cuts_of(tree, admissible_only: bool = False):
     """
     rooted = isinstance(tree, RootedTree)
     planar = to_planar(tree) if rooted else tree
-    if planar.size > cut_ceiling():
+    cap = env_ceiling(CUT_VERTEX_CAP)
+    if planar.size > cap:
         raise ResourceLimitError(
-            f"cut enumeration on {planar.size} vertices exceeds cap {cut_ceiling()}"
+            f"cut enumeration on {planar.size} vertices exceeds cap {cap}"
         )
     parents, kids = _index_planar(planar)
     n = len(parents)
@@ -249,43 +240,73 @@ def gl_ops(ring=QQ) -> HopfOps:
 
 
 # ---------------------------------------------------------------------------
-# H_K: the Connes-Kreimer algebra of forests
+# forest algebras from the cuts of their trees
+#
+# H_K and H_F share one construction, parametrised by the forest type:
+# Forest over rooted trees for H_K, OrderedForest over planar trees for H_F.
+# cuts_of returns the fallen part in the forest type that matches the tree.
 
 
-def ck_product(f: Forest, g: Forest) -> Forest:
-    return f.mul(g)
-
-
-def _ck_mul_lc(ring):
+def _forest_product(ring):
     return lambda a, b: LinComb.term(ring, a.mul(b))
 
 
-def _ck_tree_coproduct(t: RootedTree, ring) -> TensorElem:
-    terms: dict = {(Forest((t,)), EMPTY_FOREST): 1}
+def _extend_over_forest(x, tree_coproduct, ring) -> TensorElem:
+    """Extend tree_coproduct(t, forest type, ring) multiplicatively over the
+    trees of the forest x; the empty forest of x's type is the unit."""
+    forest = type(x)
+    acc = TensorElem.term(ring, forest(), forest())
+    mul = _forest_product(ring)
+    for t in x.trees:
+        acc = acc.mul(tree_coproduct(t, forest, ring), mul, mul)
+    return acc
+
+
+def _cut_coproduct(t, forest, ring) -> TensorElem:
+    """t x 1 plus fallen part x root part over the admissible cuts of t; the
+    empty cut contributes 1 x t."""
+    terms: dict = {(forest((t,)), forest()): 1}
     for cut in cuts_of(t, admissible_only=True):
-        key = (cut.fallen, Forest((cut.root_part,)))
+        key = (cut.fallen, forest((cut.root_part,)))
         terms[key] = terms.get(key, 0) + 1
     return TensorElem(ring, terms)
 
 
-def ck_coproduct(x: Forest, ring=QQ) -> TensorElem:
-    """Admissible-cut coproduct, extended multiplicatively over the forest.
+def _cut_antipode(t, forest, ring) -> LinComb:
+    terms: dict = {}
+    for cut in cuts_of(t, admissible_only=False):
+        f = cut.fallen.reverse().mul(forest((cut.root_part,)))
+        sign = -1 if cut.weight % 2 == 0 else 1  # contributes -(-1)^{|c|}
+        terms[f] = terms.get(f, 0) + sign
+    return LinComb(ring, terms)
 
-    On a tree: t x 1 plus the sum of fallen-part x root-part over admissible
-    cuts; the empty cut contributes 1 x t.
-    """
-    acc = TensorElem.term(ring, EMPTY_FOREST, EMPTY_FOREST)
-    mul = _ck_mul_lc(ring)
-    for t in x.trees:
-        acc = acc.mul(_ck_tree_coproduct(t, ring), mul, mul)
+
+def _closed_antipode(x, forest, ring) -> LinComb:
+    """-sum over all cuts of (-1)^{|c|} reverse(P^c) R^c on a tree, extended
+    to forests as an antiautomorphism (reversal is trivial on Forests)."""
+    if not isinstance(x, forest):
+        return _cut_antipode(x, forest, ring)
+    acc = LinComb.term(ring, forest())
+    mul = _forest_product(ring)
+    for t in reversed(x.trees):
+        acc = acc.bilinear(mul, _cut_antipode(t, forest, ring))
     return acc
 
 
-def _ck_tree_coproduct_rec(t: RootedTree, ring) -> TensorElem:
+# ---------------------------------------------------------------------------
+# H_K: the Connes-Kreimer algebra of forests
+
+
+def ck_coproduct(x: Forest, ring=QQ) -> TensorElem:
+    """Admissible-cut coproduct, extended multiplicatively over the forest."""
+    return _extend_over_forest(x, _cut_coproduct, ring)
+
+
+def _root_extraction(t: RootedTree, forest, ring) -> TensorElem:
     inner = ck_coproduct_recursive(bminus(t), ring)
-    terms: dict = {(Forest((t,)), EMPTY_FOREST): ring.one}
+    terms: dict = {(forest((t,)), forest()): ring.one}
     for (a, b), c in inner.terms.items():
-        key = (a, Forest((bplus(b),)))
+        key = (a, forest((bplus(b),)))
         terms[key] = terms.get(key, ring.zero) + c
     return TensorElem(ring, terms)
 
@@ -294,31 +315,12 @@ def ck_coproduct_recursive(x: Forest, ring=QQ) -> TensorElem:
     """The same coproduct by the root-extraction recursion
     D(t) = t x 1 + (id x bplus) D(bminus t); a cross-validation oracle for
     the cut formula."""
-    acc = TensorElem.term(ring, EMPTY_FOREST, EMPTY_FOREST)
-    mul = _ck_mul_lc(ring)
-    for t in x.trees:
-        acc = acc.mul(_ck_tree_coproduct_rec(t, ring), mul, mul)
-    return acc
-
-
-def _ck_tree_antipode(t: RootedTree, ring) -> LinComb:
-    terms: dict = {}
-    for cut in cuts_of(t, admissible_only=False):
-        forest = cut.fallen.mul(Forest((cut.root_part,)))
-        sign = -1 if cut.weight % 2 == 0 else 1  # contributes -(-1)^{|c|}
-        terms[forest] = terms.get(forest, 0) + sign
-    return LinComb(ring, terms)
+    return _extend_over_forest(x, _root_extraction, ring)
 
 
 def ck_antipode(x, ring=QQ) -> LinComb:
-    """Closed antipode formula: -sum over all cuts of (-1)^{|c|} P^c R^c,
-    extended multiplicatively to forests."""
-    if isinstance(x, RootedTree):
-        return _ck_tree_antipode(x, ring)
-    acc = LinComb.term(ring, EMPTY_FOREST)
-    for t in x.trees:
-        acc = acc.bilinear(_ck_mul_lc(ring), _ck_tree_antipode(t, ring))
-    return acc
+    """Closed antipode formula on a rooted tree or a forest of them."""
+    return _closed_antipode(x, Forest, ring)
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +331,7 @@ def ck_ops(ring=QQ) -> HopfOps:
         unit=EMPTY_FOREST,
         degree=lambda f: f.weight,
         basis=forests_of_weight,
-        product=lambda a, b: LinComb.term(ring, a.mul(b)),
+        product=_forest_product(ring),
         coproduct=lambda f: ck_coproduct(f, ring),
         antipode=lambda f: ck_antipode(f, ring),
     )
@@ -391,51 +393,16 @@ def kp_ops(ring=QQ) -> HopfOps:
 # H_F: the Foissy algebra of ordered forests
 
 
-def hf_product(f: OrderedForest, g: OrderedForest) -> OrderedForest:
-    return f.mul(g)
-
-
-def _hf_mul_lc(ring):
-    return lambda a, b: LinComb.term(ring, a.mul(b))
-
-
-def _hf_tree_coproduct(t: PlanarTree, ring) -> TensorElem:
-    terms: dict = {(OrderedForest((t,)), EMPTY_ORDERED): 1}
-    for cut in cuts_of(t, admissible_only=True):
-        key = (cut.fallen, OrderedForest((cut.root_part,)))
-        terms[key] = terms.get(key, 0) + 1
-    return TensorElem(ring, terms)
-
-
 def hf_coproduct(x: OrderedForest, ring=QQ) -> TensorElem:
     """Ordered admissible-cut coproduct, extended multiplicatively; equal to
     the rooted-subforest sum."""
-    acc = TensorElem.term(ring, EMPTY_ORDERED, EMPTY_ORDERED)
-    mul = _hf_mul_lc(ring)
-    for t in x.trees:
-        acc = acc.mul(_hf_tree_coproduct(t, ring), mul, mul)
-    return acc
-
-
-def _hf_tree_antipode(t: PlanarTree, ring) -> LinComb:
-    terms: dict = {}
-    for cut in cuts_of(t, admissible_only=False):
-        forest = cut.fallen.reverse().mul(OrderedForest((cut.root_part,)))
-        sign = -1 if cut.weight % 2 == 0 else 1
-        terms[forest] = terms.get(forest, 0) + sign
-    return LinComb(ring, terms)
+    return _extend_over_forest(x, _cut_coproduct, ring)
 
 
 def hf_antipode(x, ring=QQ) -> LinComb:
-    """Closed antipode: -sum over all cuts of (-1)^{|c|} reverse(P^c) R^c on
-    trees, extended to ordered forests as an antiautomorphism."""
-    if isinstance(x, PlanarTree):
-        return _hf_tree_antipode(x, ring)
-    acc = LinComb.term(ring, EMPTY_ORDERED)
-    mul = _hf_mul_lc(ring)
-    for t in reversed(x.trees):
-        acc = acc.bilinear(mul, _hf_tree_antipode(t, ring))
-    return acc
+    """Closed antipode on a planar tree or an ordered forest, where the
+    reversal of the fallen part and of the forest is not trivial."""
+    return _closed_antipode(x, OrderedForest, ring)
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +413,7 @@ def hf_ops(ring=QQ) -> HopfOps:
         unit=EMPTY_ORDERED,
         degree=lambda f: f.weight,
         basis=ordered_forests_of_weight,
-        product=lambda a, b: LinComb.term(ring, a.mul(b)),
+        product=_forest_product(ring),
         coproduct=lambda f: hf_coproduct(f, ring),
         antipode=lambda f: hf_antipode(f, ring),
     )

@@ -7,7 +7,7 @@ Square two (d2), the dual: kT -> kP -> QSym agrees with kT -> Sym -> QSym.
 
 from __future__ import annotations
 
-from .freemodule import HopfOps, LinComb, Report
+from .freemodule import HopfOps, LinComb, Report, _pairs_upto
 from .scalar import QQ
 from .symfun import (
     Composition,
@@ -129,16 +129,6 @@ def tau_star(x) -> LinComb:
 # diagram checks
 
 
-class DiagramReport(Report):
-    def __init__(self, diagram: str, max_degree: int):
-        super().__init__(f"diagram {diagram}", max_degree)
-        self.diagram = diagram
-
-
-def _as_lc(ops: HopfOps, b) -> LinComb:
-    return LinComb.term(ops.ring, b)
-
-
 def _check_hopf_morphism(
     rep: Report, name: str, dom: HopfOps, cod: HopfOps, f, max_degree: int
 ):
@@ -149,7 +139,7 @@ def _check_hopf_morphism(
     rep.add(f"{name}: unit", f(dom.one_lc()) == cod.one_lc())
 
     def degree_ok(b):
-        img = f(_as_lc(dom, b))
+        img = f(dom.term(b))
         want = dom.degree(b)
         if any(cod.degree(x) != want for x in img.support()):
             return repr(b)
@@ -160,25 +150,18 @@ def _check_hopf_morphism(
     def product_ok(pair):
         x, y = pair
         lhs = f(dom.product(x, y))
-        rhs = cod.product_lc(f(_as_lc(dom, x)), f(_as_lc(dom, y)))
+        rhs = cod.product_lc(f(dom.term(x)), f(dom.term(y)))
         if lhs != rhs:
             return f"({x!r}, {y!r})"
         return None
 
-    pairs = [
-        (x, y)
-        for d1 in range(max_degree + 1)
-        for d2 in range(max_degree - d1 + 1)
-        for x in by_deg[d1]
-        for y in by_deg[d2]
-    ]
-    rep.law(f"{name}: products", pairs, product_ok)
+    rep.law(f"{name}: products", _pairs_upto(by_deg, max_degree), product_ok)
 
     def coproduct_ok(b):
         lhs = dom.coproduct(b).map_sides(
-            lambda u: f(_as_lc(dom, u)), lambda u: f(_as_lc(dom, u)), out_ring=cod.ring
+            lambda u: f(dom.term(u)), lambda u: f(dom.term(u)), out_ring=cod.ring
         )
-        rhs = cod.coproduct_lc(f(_as_lc(dom, b)))
+        rhs = cod.coproduct_lc(f(dom.term(b)))
         if lhs != rhs:
             return repr(b)
         return None
@@ -186,15 +169,15 @@ def _check_hopf_morphism(
     rep.law(f"{name}: coproducts", elems, coproduct_ok)
 
 
-def diagram_check(diagram: str, max_degree: int) -> DiagramReport:
+def diagram_check(diagram: str, max_degree: int) -> Report:
     """Verify commutation of the requested square and that every involved
     arrow is a morphism of Hopf algebras on the given range."""
-    rep = DiagramReport(diagram, max_degree)
+    rep = Report(f"diagram {diagram}", max_degree)
     if diagram == "d1":
         nsym, sym, hf, ck = nsym_ops(QQ), sym_ops(QQ), hf_ops(QQ), ck_ops(QQ)
         for word in (w for n in range(max_degree + 1) for w in compositions_of(n)):
-            lhs = rho(Phi(_as_lc(nsym, word)))
-            rhs = phi(tau(_as_lc(nsym, word)))
+            lhs = rho(Phi(nsym.term(word)))
+            rhs = phi(tau(nsym.term(word)))
             rep.add(
                 f"rho(Phi(E{word.parts})) = phi(tau(E{word.parts}))",
                 lhs == rhs,

@@ -168,15 +168,16 @@ def poly_str(q: Poly) -> str:
             var = "p" if i == 1 else f"p^{i}"
             body = var if mag == 1 else f"{mag}*{var}"
         pieces.append((c < 0, body))
+    return signed_join(pieces)
+
+
+def signed_join(pieces) -> str:
+    """Join (negated, body) pairs as "a - b + c"; only the first sign leads."""
     neg, body = pieces[0]
     out = ("-" if neg else "") + body
     for neg, body in pieces[1:]:
         out += (" - " if neg else " + ") + body
     return out
-
-
-def rational_str(q: Fraction) -> str:
-    return str(q)
 
 
 class Ring:
@@ -216,35 +217,8 @@ def _coerce_poly(x) -> Poly:
     return Poly((_as_fraction(x),))
 
 
-QQ = Ring("Q", Fraction(0), Fraction(1), _as_fraction, rational_str)
+QQ = Ring("Q", Fraction(0), Fraction(1), _as_fraction, str)
 QP = Ring("Q[p]", ZERO_POLY, ONE_POLY, _coerce_poly, poly_str)
-
-
-def rat_arith(a, b, op: str) -> Fraction:
-    """Exact rational arithmetic; results always in lowest terms."""
-    a, b = _as_fraction(a), _as_fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    a, b = _coerce_poly(a), _coerce_poly(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def poly_eval(a: Poly, v) -> Fraction:

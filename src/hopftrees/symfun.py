@@ -386,19 +386,12 @@ def basis_expand(name: str, k: int, ring=QQ) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def e_product_expansion(parts: tuple, ring=QQ) -> LinComb:
-    """m-basis expansion of the product e_{parts[0]} e_{parts[1]} ..."""
+def product_expansion(name: str, parts: tuple, ring) -> LinComb:
+    """m-basis expansion of the generator product name_{parts[0]} name_{parts[1]} ...
+    for a family name of basis_expand."""
     acc = LinComb.term(ring, EMPTY_PARTITION)
     for x in parts:
-        acc = sym_product(acc, basis_expand("e", x, ring))
-    return acc
-
-
-@lru_cache(maxsize=None)
-def h_product_expansion(parts: tuple, ring=QQ) -> LinComb:
-    acc = LinComb.term(ring, EMPTY_PARTITION)
-    for x in parts:
-        acc = sym_product(acc, basis_expand("h", x, ring))
+        acc = sym_product(acc, basis_expand(name, x, ring))
     return acc
 
 
@@ -420,7 +413,7 @@ def to_e_products(x: LinComb):
         lam, coeff = max(rest.terms.items(), key=lambda kv: kv[0].sort_key)
         word = lam.conjugate().parts
         out.append((coeff, word))
-        rest = rest - e_product_expansion(word, x.ring).scale(coeff)
+        rest = rest - product_expansion("e", word, x.ring).scale(coeff)
     return out
 
 
@@ -447,7 +440,7 @@ def _h_matrix(n: int):
     index = {lam: i for i, lam in enumerate(lams)}
     rows = []
     for lam in lams:
-        exp = h_product_expansion(lam.parts)
+        exp = product_expansion("h", lam.parts, QQ)
         row = [Fraction(0)] * len(lams)
         for mu, c in exp.terms.items():
             row[index[mu]] = c
@@ -563,5 +556,5 @@ def tau(x: LinComb) -> LinComb:
     elementary symmetric functions e_{i_1} ... e_{i_k} in the m basis."""
     acc = LinComb.zero(x.ring)
     for word, c in x.terms.items():
-        acc = acc + e_product_expansion(word.parts, x.ring).scale(c)
+        acc = acc + product_expansion("e", word.parts, x.ring).scale(c)
     return acc

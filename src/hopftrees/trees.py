@@ -22,15 +22,20 @@ DEFAULT_MAX_DEGREE = 10
 CUT_VERTEX_CAP = 8
 
 
-def degree_ceiling() -> int:
-    """Hard enumeration ceiling; HOPFTREES_MAX_DEGREE overrides the default."""
+def env_ceiling(default: int) -> int:
+    """HOPFTREES_MAX_DEGREE when it holds an integer, otherwise ``default``."""
     env = os.environ.get("HOPFTREES_MAX_DEGREE")
     if env:
         try:
             return int(env)
         except ValueError:
             pass
-    return DEFAULT_MAX_DEGREE
+    return default
+
+
+def degree_ceiling() -> int:
+    """Hard enumeration ceiling; HOPFTREES_MAX_DEGREE overrides the default."""
+    return env_ceiling(DEFAULT_MAX_DEGREE)
 
 
 class BBAParseError(ValueError):
@@ -118,6 +123,10 @@ class Forest:
     def mul(self, other: "Forest") -> "Forest":
         return Forest(self.trees + other.trees)
 
+    def reverse(self) -> "Forest":
+        """A commutative monomial is its own reversal."""
+        return self
+
     def __eq__(self, other):
         return isinstance(other, Forest) and self.trees == other.trees
 
@@ -184,10 +193,6 @@ def bba_decode(s: str) -> PlanarTree:
     if len(stack) > 1:
         raise BBAParseError(len(s), "unclosed '<'")
     return PlanarTree(stack[0])
-
-
-def bba_encode(tree: PlanarTree) -> str:
-    return tree.bba
 
 
 def canonicalize(tree: PlanarTree) -> RootedTree:

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +21,8 @@ from hopftrees.scalar import P, QP, QQ, binom_poly
 from hopftrees.symfun import Composition, Partition
 from hopftrees.trees import DOT, Forest, OrderedForest, RootedTree, bba_decode, ladder
 
-GOLDEN = Path(__file__).parent / "golden" / "paper_displays.txt"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "paper_displays.txt"
 
 CHERRY = RootedTree([DOT, DOT])
 
@@ -215,6 +220,51 @@ def test_cli_special_check(capsys):
     assert run(["special", "check", "--max-degree", "3"]) == 0
     out = capsys.readouterr().out
     assert "ALL PASS" in out
+    assert run(["check", "--suite", "special", "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["check", "--suite", "all", "--max-degree", "3"], "check_all_d3.txt"),
+        (["dse", "--max-degree", "5", "--check-coproduct"], "dse_d5_coproduct.txt"),
+    ],
+)
+def test_golden_transcripts(capsys, argv, golden):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_json_checked_matches_text_case_counts(capsys):
+    argv = ["check", "--suite", "diagrams", "--max-degree", "3"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert run(argv + ["--format", "json"]) == 0
+    laws = [law for rep in json.loads(capsys.readouterr().out) for law in rep["laws"]]
+    entries = [line for line in text if line.startswith("  ")]
+    assert len(entries) == len(laws) > 0
+    for line, law in zip(entries, laws):
+        assert law["law"] in line
+        match = re.search(r"\[(\d+) cases\]$", line)
+        assert law["checked"] == (int(match.group(1)) if match else 0)
+    assert any(law["checked"] > 0 for law in laws)
+
+
+def test_broken_pipe_exits_without_traceback():
+    # more output than a pipe buffers, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopftrees", "enumerate", "--kind", "planar", "-n", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.stdout.readline() == b"(<<<<<<<<<<>>>>>>>>>>)\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in stderr, stderr
 
 
 def test_cli_dse_json(capsys):

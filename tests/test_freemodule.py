@@ -176,10 +176,11 @@ def test_report_json_shape():
     rep.add("law two", False, degree=1, witness="w")
     data = rep.to_json()
     assert data["passed"] is False
-    assert data["laws"][0] == {"law": "law one", "status": "pass"}
+    assert data["laws"][0] == {"law": "law one", "status": "pass", "checked": 3}
     assert data["laws"][1] == {
         "law": "law two",
         "status": "fail",
+        "checked": 0,
         "degree": 1,
         "witness": "w",
     }

@@ -142,12 +142,12 @@ def test_adjointness_of_phi_and_phi_star():
     # phi* is dual to phi once Sym is self-paired through the m/e duality:
     # pairing t against the lift of an elementary product e_lambda recovers
     # exactly the m_lambda coefficient of phi*(t)
-    from hopftrees.symfun import e_product_expansion
+    from hopftrees.symfun import product_expansion
 
     for n in range(6):
         for t in enumerate_rooted(n):
             for lam in partitions_of(n):
-                image = phi(e_product_expansion(lam.parts))
+                image = phi(product_expansion("e", lam.parts, QQ))
                 lhs = pairing_extend(
                     pairing_kt_hk,
                     LinComb.term(QQ, t),

@@ -12,10 +12,8 @@ from hopftrees.scalar import (
     QQ,
     binom_of,
     binom_poly,
-    poly_arith,
     poly_eval,
     poly_str,
-    rat_arith,
 )
 
 rationals = st.fractions(
@@ -23,11 +21,11 @@ rationals = st.fractions(
 )
 
 
-def test_rat_arith_examples():
-    assert rat_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert rat_arith(Fraction(3, 4), Fraction(0), "mul") == 0
+def test_fraction_operator_examples():
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert Fraction(3, 4) * Fraction(0) == 0
     with pytest.raises(ZeroDivisionError):
-        rat_arith(Fraction(1), Fraction(0), "div")
+        Fraction(1) / Fraction(0)
 
 
 @given(rationals, rationals, rationals)
@@ -40,8 +38,7 @@ def test_rational_ring_laws(a, b, c):
 
 @given(rationals, rationals)
 def test_rational_results_lowest_terms(a, b):
-    for op in ("add", "sub", "mul"):
-        r = rat_arith(a, b, op)
+    for r in (a + b, a - b, a * b):
         assert gcd(abs(r.numerator), r.denominator) == 1
         assert r.denominator > 0
 
@@ -70,10 +67,10 @@ def test_poly_eval_examples():
     assert poly_eval(binom_poly(2), Fraction(1, 2)) == Fraction(-1, 8)
 
 
-def test_poly_arith():
-    assert poly_arith(P, P, "mul") == Poly((0, 0, 1))
-    assert poly_arith(P, P, "add") == Poly((0, 2))
-    assert poly_arith(P, ONE_POLY, "sub") == Poly((-1, 1))
+def test_poly_operators():
+    assert P * P == Poly((0, 0, 1))
+    assert P + P == Poly((0, 2))
+    assert P - ONE_POLY == Poly((-1, 1))
     assert (P + 1) * (P - 1) == P * P - 1
 
 

@@ -11,7 +11,6 @@ from hopftrees.trees import (
     RootedTree,
     T_comp,
     bba_decode,
-    bba_encode,
     canonicalize,
     catalan,
     child_factorial_product,
@@ -50,17 +49,17 @@ def test_decode_errors_carry_offsets():
 
 
 def test_encode_examples():
-    assert bba_encode(PDOT) == ""
-    assert bba_encode(planar_ladder(3)) == "<<>>"
+    assert PDOT.bba == ""
+    assert planar_ladder(3).bba == "<<>>"
     three_leaves = PlanarTree([PDOT, PDOT, PDOT])
-    assert bba_decode(bba_encode(three_leaves)) == three_leaves
-    assert bba_encode(three_leaves) == "<><><>"
+    assert bba_decode(three_leaves.bba) == three_leaves
+    assert three_leaves.bba == "<><><>"
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_round_trip_exhaustive(n):
     for t in enumerate_planar(n):
-        assert bba_decode(bba_encode(t)) == t
+        assert bba_decode(t.bba) == t
         assert len(t.bba) == 2 * (t.size - 1)
 
 
