@@ -34,6 +34,7 @@ from .freemodule import (
     LinComb,
     Report,
     TensorElem,
+    accumulate,
     check_axioms,
     check_cocommutativity,
     duality_check,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import LinComb, Report, TensorElem
+from .freemodule import LinComb, Report, TensorElem, accumulate
 from .hopf_trees import (
     bplus_ordered,
     ck_ops,
@@ -96,8 +96,8 @@ def solve_recursive(max_degree: int) -> DSESolution:
                 prod = LinComb.term(QP, EMPTY_ORDERED)
                 for ni in comp:
                     prod = hf.product_lc(prod, sol.hf_terms[ni])
-                inner = inner + prod
-            acc = acc + _bplus_lc(inner).scale(binom_poly(k))
+                accumulate(inner, prod, QP.one)
+            accumulate(acc, _bplus_lc(inner), binom_poly(k))
         sol.hf_terms[n + 1] = acc
     for n in range(1, max_degree + 1):
         sol.hk_terms[n] = rho(sol.hf_terms[n])
@@ -164,7 +164,7 @@ def q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
         prod = LinComb.term(QP, EMPTY_FOREST)
         for part in mu.parts:
             prod = ck.product_lc(prod, sol.hk(part))
-        acc = acc + prod.scale(scalar)
+        accumulate(acc, prod, scalar)
     return acc
 
 
@@ -184,7 +184,7 @@ def Q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
             prod = LinComb.term(QP, EMPTY_ORDERED)
             for ni in comp:
                 prod = hf.product_lc(prod, sol.hf(ni))
-            acc = acc + prod.scale(scalar)
+            accumulate(acc, prod, scalar)
     return acc
 
 
@@ -207,7 +207,7 @@ def coproduct_theorem_check(
         lhs = ops.coproduct_lc(part(n))
         rhs = TensorElem.tensor(part(n), ops.one_lc())
         for k in range(1, n + 1):
-            rhs = rhs + TensorElem.tensor(poly(n, k, sol), part(k))
+            accumulate(rhs, TensorElem.tensor(poly(n, k, sol), part(k)), QP.one)
         return lhs, rhs
 
     @lru_cache(maxsize=None)

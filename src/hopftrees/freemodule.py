@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Optional, Sequence
 
 from .scalar import Ring
@@ -108,7 +109,7 @@ class LinComb:
             img = f(b)
             if not isinstance(img, LinComb):
                 img = LinComb.term(ring, img)
-            acc = acc + img.scale(c)
+            accumulate(acc, img, c)
         return acc
 
     def map_coeffs(self, f, out_ring: Ring) -> "LinComb":
@@ -120,7 +121,7 @@ class LinComb:
         acc = LinComb.zero(self.ring)
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
-                acc = acc + f(b1, b2).scale(c1 * c2)
+                accumulate(acc, f(b1, b2), c1 * c2)
         return acc
 
     def render(self, basis_str=repr) -> str:
@@ -234,7 +235,7 @@ class TensorElem:
             lb = f_right(b)
             if not isinstance(lb, LinComb):
                 lb = LinComb.term(ring, lb)
-            acc = acc + TensorElem.tensor(la, lb).scale(c)
+            accumulate(acc, TensorElem.tensor(la, lb), c)
         return acc
 
     def mul(self, other: "TensorElem", prod_left, prod_right) -> "TensorElem":
@@ -243,9 +244,8 @@ class TensorElem:
         acc = TensorElem.zero(self.ring)
         for (a, b), c in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                acc = acc + TensorElem.tensor(prod_left(a, a2), prod_right(b, b2)).scale(
-                    c * c2
-                )
+                pair = TensorElem.tensor(prod_left(a, a2), prod_right(b, b2))
+                accumulate(acc, pair, c * c2)
         return acc
 
     def render(self, basis_str=repr) -> str:
@@ -260,6 +260,60 @@ class TensorElem:
         return f"TensorElem<{self.ring.name}>({self.render()})"
 
 
+def accumulate(acc, x, c) -> None:
+    """Add c * x to acc in place: the one accumulation step of the module.
+
+    acc and x are both LinComb or both TensorElem over one ring.  acc must be
+    a value its caller built, never one handed out by a HopfOps memo, whose
+    terms are read-only.
+    """
+    _check_ring(acc, x)
+    terms, ring = acc.terms, acc.ring
+    zero, is_zero = ring.zero, ring.is_zero
+    unscaled = c == ring.one
+    for b, v in x.terms.items():
+        s = terms.get(b, zero) + (v if unscaled else v * c)
+        if is_zero(s):
+            terms.pop(b, None)
+        else:
+            terms[b] = s
+
+
+class _ReadOnly:
+    """A value handed out by a HopfOps memo: its terms are a read-only view
+    and its attributes cannot be rebound."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a cached {type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a cached {type(self).__name__} is read-only")
+
+
+class _CachedLinComb(_ReadOnly, LinComb):
+    __slots__ = ()
+
+
+class _CachedTensorElem(_ReadOnly, TensorElem):
+    __slots__ = ()
+
+
+class MonomialProduct:
+    """The product of a free monoid algebra: two basis monomials multiply to
+    the single monomial a.mul(b).  HopfOps does not memoise it, because each
+    result is one term with nothing to reuse."""
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+
+    def __call__(self, a, b) -> LinComb:
+        return LinComb.term(self.ring, a.mul(b))
+
+
 @dataclass(eq=False)
 class HopfOps:
     """Bundle of the structure maps of one graded connected Hopf algebra.
@@ -268,6 +322,12 @@ class HopfOps:
     canonical one for a connected grading (1 on the unit, 0 elsewhere).
     The optional ``antipode`` is an explicit closed formula; when absent the
     generic recursion is used.
+
+    The product (unless it is a MonomialProduct), the coproduct and the
+    antipode on basis elements are memoised on the instance, keyed on the
+    basis elements.  Cached values are read-only, and their basis elements
+    and coefficients are interned in one table, so each distinct value is
+    stored once.  The memo lives as long as the instance.
     """
 
     name: str
@@ -278,7 +338,39 @@ class HopfOps:
     product: Callable[[Any, Any], LinComb]
     coproduct: Callable[[Any], TensorElem]
     antipode: Optional[Callable[[Any], LinComb]] = None
-    _antipode_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _interned: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        product, coproduct = self.product, self.coproduct
+        if not isinstance(product, MonomialProduct):
+            self.product = lambda a, b: self._cached(("product", a, b), product, a, b)
+        self.coproduct = lambda b: self._cached(("coproduct", b), coproduct, b)
+
+    def _cached(self, key, compute, *args):
+        """The memoised value of compute(*args) under key."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._freeze(compute(*args))
+        return value
+
+    def _freeze(self, x):
+        """A read-only copy of x whose basis elements and coefficients are
+        the interned ones."""
+        intern = self._interned.setdefault
+        if isinstance(x, TensorElem):
+            cls = _CachedTensorElem
+            terms = {
+                (intern(a, a), intern(b, b)): intern(c, c)
+                for (a, b), c in x.terms.items()
+            }
+        else:
+            cls = _CachedLinComb
+            terms = {intern(b, b): intern(c, c) for b, c in x.terms.items()}
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", x.ring)
+        object.__setattr__(out, "terms", MappingProxyType(terms))
+        return out
 
     def counit(self, b):
         return self.ring.one if self.degree(b) == 0 else self.ring.zero
@@ -295,13 +387,13 @@ class HopfOps:
     def coproduct_lc(self, a: LinComb) -> TensorElem:
         acc = TensorElem.zero(self.ring)
         for b, c in a.terms.items():
-            acc = acc + self.coproduct(b).scale(c)
+            accumulate(acc, self.coproduct(b), c)
         return acc
 
     def antipode_basis(self, b) -> LinComb:
         if self.antipode is not None:
-            return self.antipode(b)
-        return generic_antipode(self, b)
+            return self._cached(("antipode", b), self.antipode, b)
+        return _generic_cached(self, b)
 
     def antipode_lc(self, a: LinComb) -> LinComb:
         return a.apply_linear(self.antipode_basis)
@@ -313,26 +405,27 @@ class HopfOps:
         return acc
 
 
+def _generic_cached(h: HopfOps, b) -> LinComb:
+    return h._cached(("generic antipode", b), generic_antipode, h, b)
+
+
 def generic_antipode(h: HopfOps, b) -> LinComb:
     """Antipode by the graded-connected recursion.
 
     S fixes the unit; on positive degree S(u) = -sum S(u')u'' over all
     coproduct terms except u x 1, which terminates because the coproduct
-    respects the grading.
+    respects the grading.  The antipodes of the smaller terms u' come from
+    h's memo, computed by this recursion even where h has a closed formula,
+    so the two routes stay independent.
     """
     if h.degree(b) == 0:
         return h.one_lc()
-    cached = h._antipode_cache.get(b)
-    if cached is not None:
-        return cached
     acc = LinComb.zero(h.ring)
     for (x, y), c in h.coproduct(b).terms.items():
         if y == h.unit:
             continue  # the u x 1 term moves to the left-hand side
-        acc = acc + h.product_lc(generic_antipode(h, x), h.term(y)).scale(c)
-    result = -acc
-    h._antipode_cache[b] = result
-    return result
+        accumulate(acc, h.product_lc(_generic_cached(h, x), h.term(y)), -c)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +472,8 @@ class Report:
         self.entries.append(ReportEntry(law, ok, checked, degree, witness))
 
     def law(self, name, cases, test, degree=None):
-        """Run ``test`` over ``cases``; the test returns a witness string on failure."""
+        """Run ``test`` over ``cases``; the test returns a witness string on
+        failure.  A law that ran no case fails: it has shown nothing."""
         count = 0
         witness = None
         for case in cases:
@@ -387,6 +481,8 @@ class Report:
             witness = test(case)
             if witness is not None:
                 break
+        if not count:
+            witness = "no cases checked"
         self.add(name, witness is None, checked=count, degree=degree, witness=witness)
 
     @property
@@ -507,12 +603,9 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
     rep.law("coproduct grading", elems, coproduct_grading)
 
     def counit_laws(b):
-        cop = h.coproduct(b)
-        left = LinComb.zero(h.ring)
-        right = LinComb.zero(h.ring)
-        for (x, y), c in cop.terms.items():
-            left = left + LinComb.term(h.ring, y, c * h.counit(x))
-            right = right + LinComb.term(h.ring, x, c * h.counit(y))
+        cop = h.coproduct(b).terms.items()
+        left = LinComb(h.ring, [(y, c * h.counit(x)) for (x, y), c in cop])
+        right = LinComb(h.ring, [(x, c * h.counit(y)) for (x, y), c in cop])
         if left != h.term(b) or right != h.term(b):
             return repr(b)
         return None
@@ -552,8 +645,8 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
         left = LinComb.zero(h.ring)
         right = LinComb.zero(h.ring)
         for (x, y), c in cop.terms.items():
-            left = left + h.product_lc(h.antipode_basis(x), h.term(y)).scale(c)
-            right = right + h.product_lc(h.term(x), h.antipode_basis(y)).scale(c)
+            accumulate(left, h.product_lc(h.antipode_basis(x), h.term(y)), c)
+            accumulate(right, h.product_lc(h.term(x), h.antipode_basis(y)), c)
         want = h.one_lc().scale(h.counit(b))
         if left != want or right != want:
             return repr(b)

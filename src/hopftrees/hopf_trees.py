@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .freemodule import HopfOps, LinComb, TensorElem
+from .freemodule import HopfOps, LinComb, MonomialProduct, TensorElem
 from .scalar import QQ, Fraction
 from .trees import (
     CUT_VERTEX_CAP,
@@ -247,16 +247,12 @@ def gl_ops(ring=QQ) -> HopfOps:
 # cuts_of returns the fallen part in the forest type that matches the tree.
 
 
-def _forest_product(ring):
-    return lambda a, b: LinComb.term(ring, a.mul(b))
-
-
 def _extend_over_forest(x, tree_coproduct, ring) -> TensorElem:
     """Extend tree_coproduct(t, forest type, ring) multiplicatively over the
     trees of the forest x; the empty forest of x's type is the unit."""
     forest = type(x)
     acc = TensorElem.term(ring, forest(), forest())
-    mul = _forest_product(ring)
+    mul = MonomialProduct(ring)
     for t in x.trees:
         acc = acc.mul(tree_coproduct(t, forest, ring), mul, mul)
     return acc
@@ -287,7 +283,7 @@ def _closed_antipode(x, forest, ring) -> LinComb:
     if not isinstance(x, forest):
         return _cut_antipode(x, forest, ring)
     acc = LinComb.term(ring, forest())
-    mul = _forest_product(ring)
+    mul = MonomialProduct(ring)
     for t in reversed(x.trees):
         acc = acc.bilinear(mul, _cut_antipode(t, forest, ring))
     return acc
@@ -331,7 +327,7 @@ def ck_ops(ring=QQ) -> HopfOps:
         unit=EMPTY_FOREST,
         degree=lambda f: f.weight,
         basis=forests_of_weight,
-        product=_forest_product(ring),
+        product=MonomialProduct(ring),
         coproduct=lambda f: ck_coproduct(f, ring),
         antipode=lambda f: ck_antipode(f, ring),
     )
@@ -413,7 +409,7 @@ def hf_ops(ring=QQ) -> HopfOps:
         unit=EMPTY_ORDERED,
         degree=lambda f: f.weight,
         basis=ordered_forests_of_weight,
-        product=_forest_product(ring),
+        product=MonomialProduct(ring),
         coproduct=lambda f: hf_coproduct(f, ring),
         antipode=lambda f: hf_antipode(f, ring),
     )

@@ -42,11 +42,10 @@ def phi(x: LinComb) -> LinComb:
     """Algebra map Sym -> H_K determined by sending the elementary generator
     of degree i to the i-vertex ladder; arbitrary input is first written in
     products of elementary generators."""
-    acc = LinComb.zero(x.ring)
-    for coeff, word in to_e_products(x):
-        forest = Forest(ladder(i) for i in word)
-        acc = acc + LinComb.term(x.ring, forest, coeff)
-    return acc
+    return LinComb(
+        x.ring,
+        [(Forest(ladder(i) for i in word), c) for c, word in to_e_products(x)],
+    )
 
 
 def Phi(x: LinComb) -> LinComb:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import LinComb, Report, TensorElem, generic_antipode
+from .freemodule import LinComb, Report, TensorElem, accumulate
 from .hopf_trees import bplus, cuts_of, gl_ops, gl_product
 from .morphisms import phi_star, rho_star
 from .scalar import QQ
@@ -46,7 +46,7 @@ def epsilon(n: int) -> LinComb:
     acc = LinComb.zero(QQ)
     for i in range(1, n + 1):
         term = gl.product_lc(kappa(i), epsilon(n - i))
-        acc = acc + term.scale((-1) ** (i - 1))
+        accumulate(acc, term, (-1) ** (i - 1))
     return acc
 
 
@@ -115,7 +115,7 @@ def proposition_check(max_degree: int) -> Report:
     gl = gl_ops(QQ)
 
     def antipode_link(n):
-        s_kappa = kappa(n).apply_linear(lambda t: generic_antipode(gl, t))
+        s_kappa = gl.antipode_lc(kappa(n))
         if epsilon(n) != s_kappa.scale((-1) ** n):
             return f"n={n}"
         return None
@@ -158,7 +158,7 @@ def proposition_check(max_degree: int) -> Report:
         lhs = gl.coproduct_lc(kappa(n))
         rhs = TensorElem.zero(QQ)
         for i in range(n + 1):
-            rhs = rhs + TensorElem.tensor(kappa(i), kappa(n - i))
+            accumulate(rhs, TensorElem.tensor(kappa(i), kappa(n - i)), QQ.one)
         if lhs != rhs:
             return f"n={n}"
         return None

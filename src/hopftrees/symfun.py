@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import HopfOps, LinComb, Report, TensorElem
+from .freemodule import HopfOps, LinComb, Report, TensorElem, accumulate
 from .scalar import QQ
 
 
@@ -310,11 +310,10 @@ def series_product(d1: dict, d2: dict) -> dict:
 def sym_embed(x: LinComb) -> LinComb:
     """The inclusion of Sym into QSym: m_lambda to the sum of M over all
     arrangements of lambda."""
-    acc = LinComb.zero(x.ring)
-    for lam, c in x.terms.items():
-        for comp in distinct_arrangements(lam):
-            acc = acc + LinComb.term(x.ring, comp, c)
-    return acc
+    terms = x.terms.items()
+    return LinComb(
+        x.ring, [(comp, c) for lam, c in terms for comp in distinct_arrangements(lam)]
+    )
 
 
 def sym_from_qsym(x: LinComb) -> LinComb:
@@ -460,7 +459,7 @@ def to_h_basis(x: LinComb) -> LinComb:
         # solve transpose(H) c = x
         transposed = [[rows[j][i] for j in range(len(lams))] for i in range(len(lams))]
         sol = _gauss_solve(transposed, rhs)
-        acc = acc + LinComb(x.ring, dict(zip(lams, sol)))
+        accumulate(acc, LinComb(x.ring, dict(zip(lams, sol))), x.ring.one)
     return acc
 
 
@@ -495,7 +494,7 @@ def eh_identity_check(max_degree: int, ring=QQ) -> Report:
             h_part = (
                 LinComb.term(ring, EMPTY_PARTITION) if j == 0 else basis_expand("h", j)
             )
-            acc = acc + sym_product(e_part, h_part).scale((-1) ** j)
+            accumulate(acc, sym_product(e_part, h_part), (-1) ** j)
         if not acc.is_zero():
             return f"degree {d}"
         return None
@@ -556,5 +555,5 @@ def tau(x: LinComb) -> LinComb:
     elementary symmetric functions e_{i_1} ... e_{i_k} in the m basis."""
     acc = LinComb.zero(x.ring)
     for word, c in x.terms.items():
-        acc = acc + product_expansion("e", word.parts, x.ring).scale(c)
+        accumulate(acc, product_expansion("e", word.parts, x.ring), c)
     return acc

@@ -303,6 +303,38 @@ def test_cli_check_failure_exit_code(monkeypatch, capsys):
     assert "FAILURES PRESENT" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "suite, laws",
+    [
+        (
+            "special",
+            [
+                "phi* intertwines growth with e_1 multiplication",
+                "m(., t_lambda; t_mu) matches e_1 m_lambda",
+                "n(.; t_lambda) multinomial formula",
+            ],
+        ),
+        (
+            "dse",
+            [
+                "recursive matches closed form",
+                "ladders at p=1",
+                "commutative coproduct formula",
+                "planar coproduct formula",
+                "rational specialization at p=2",
+            ],
+        ),
+    ],
+)
+def test_cli_check_degree_zero_is_not_a_pass(capsys, suite, laws):
+    # laws that check no case at degree 0 fail instead of passing vacuously
+    assert run(["check", "--suite", suite, "--max-degree", "0"]) == 1
+    out = capsys.readouterr().out
+    failing = [line for line in out.splitlines() if line.startswith("  FAIL")]
+    assert failing == [f"  FAIL {law} witness: no cases checked" for law in laws]
+    assert out.endswith("FAILURES PRESENT\n")
+
+
 def test_cli_usage_errors(capsys):
     assert run(["op", "--algebra", "ck", "--kind", "product", "--expr", "(<>"]) == 2
     capsys.readouterr()

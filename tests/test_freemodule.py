@@ -7,6 +7,8 @@ from hopftrees.freemodule import (
     Report,
     RingMismatchError,
     TensorElem,
+    _pairs_upto,
+    accumulate,
     check_axioms,
     check_cocommutativity,
     duality_check,
@@ -16,13 +18,36 @@ from hopftrees.freemodule import (
 )
 from hopftrees.hopf_trees import (
     bplus,
+    ck_antipode,
+    ck_coproduct,
     ck_ops,
+    gl_coproduct,
     gl_ops,
+    gl_product,
+    hf_antipode,
+    hf_coproduct,
+    hf_ops,
+    kp_coproduct,
+    kp_ops,
+    kp_product,
     pairing_hk,
     pairing_kt_hk,
 )
 from hopftrees.scalar import QP, QQ
-from hopftrees.symfun import Composition, Partition, nsym_ops
+from hopftrees.symfun import (
+    Composition,
+    Partition,
+    nsym_coproduct,
+    nsym_ops,
+    nsym_product,
+    qsym_antipode,
+    qsym_coproduct,
+    qsym_ops,
+    qsym_product_comp,
+    sym_coproduct,
+    sym_ops,
+    sym_product_part,
+)
 from hopftrees.trees import DOT, Forest, RootedTree, ladder
 
 X, Y, Z = Partition([1]), Partition([2]), Partition([3])
@@ -109,19 +134,124 @@ def test_check_axioms_catches_mutation():
             return out.scale(2)  # wrong coefficient
         return out
 
-    broken = HopfOps(
-        name="broken",
-        ring=QQ,
-        unit=base.unit,
-        degree=base.degree,
-        basis=base.basis,
-        product=corrupted_product,
-        coproduct=base.coproduct,
-    )
-    rep = check_axioms(broken, 3)
-    assert not rep.passed
-    failed = [e for e in rep.entries if not e.ok]
-    assert failed and any(e.witness for e in failed)
+    def corrupted_coproduct(x):
+        out = base.coproduct(x)
+        if x.weight == 2:
+            return out + TensorElem.term(QQ, x, base.unit)  # x (x) 1 twice
+        return out
+
+    for product, coproduct in (
+        (corrupted_product, base.coproduct),
+        (base.product, corrupted_coproduct),
+    ):
+        broken = HopfOps(
+            name="broken",
+            ring=QQ,
+            unit=base.unit,
+            degree=base.degree,
+            basis=base.basis,
+            product=product,
+            coproduct=coproduct,
+        )
+        rep = check_axioms(broken, 3)
+        assert not rep.passed
+        failed = [e for e in rep.entries if not e.ok]
+        assert failed and any(e.witness for e in failed)
+
+
+def _closed(fn):
+    return lambda ops, b: fn(b)
+
+
+# (ops factory, direct product, direct coproduct, direct antipode); the
+# forest algebras concatenate monomials, a product that is not memoised
+KERNELS = [
+    (gl_ops, gl_product, gl_coproduct, generic_antipode),
+    (ck_ops, None, ck_coproduct, _closed(ck_antipode)),
+    (kp_ops, kp_product, kp_coproduct, generic_antipode),
+    (hf_ops, None, hf_coproduct, _closed(hf_antipode)),
+    (sym_ops, sym_product_part, sym_coproduct, generic_antipode),
+    (qsym_ops, qsym_product_comp, qsym_coproduct, _closed(qsym_antipode)),
+    (nsym_ops, nsym_product, nsym_coproduct, generic_antipode),
+]
+
+
+@pytest.mark.parametrize("factory, product, coproduct, antipode", KERNELS)
+def test_memo_kernel_matches_direct_maps(factory, product, coproduct, antipode):
+    ops = factory(QQ)
+    by_deg = {n: list(ops.basis(n)) for n in range(5)}
+    for a, b in _pairs_upto(by_deg, 4):
+        if product is None:
+            assert ops.product(a, b) == LinComb.term(QQ, a.mul(b))
+        else:
+            assert ops.product(a, b) == product(a, b)
+            assert ops.product(a, b) is ops.product(a, b)
+    for n in range(5):
+        for b in by_deg[n]:
+            assert ops.coproduct(b) == coproduct(b)
+            assert ops.coproduct(b) is ops.coproduct(b)
+            assert ops.antipode_basis(b) == antipode(ops, b)
+            assert ops.antipode_basis(b) is ops.antipode_basis(b)
+
+
+def test_memo_values_are_read_only():
+    ops = kp_ops(QQ)
+    t = ops.basis(3)[0]
+    for cached in (ops.product(t, t), ops.coproduct(t), ops.antipode_basis(t)):
+        key = next(iter(cached.terms))
+        with pytest.raises(TypeError):
+            cached.terms[key] = QQ.one
+        with pytest.raises(TypeError):
+            del cached.terms[key]
+        with pytest.raises(AttributeError):
+            cached.terms = {}
+        with pytest.raises(AttributeError):
+            cached.ring = QP
+        with pytest.raises(TypeError):
+            accumulate(cached, cached, QQ.one)
+        # a copy of the terms is an ordinary value
+        plain = LinComb if isinstance(cached, LinComb) else TensorElem
+        copy = plain(QQ, dict(cached.terms))
+        accumulate(copy, cached, -1)
+        assert copy.is_zero()
+    # derived values are ordinary ones
+    doubled = ops.coproduct(t) + ops.coproduct(t)
+    accumulate(doubled, ops.coproduct(t), -2)
+    assert doubled.is_zero()
+    # and the module functions keep returning mutable values
+    direct = kp_coproduct(t)
+    direct.terms.clear()
+    assert ops.coproduct(t) == kp_coproduct(t)
+
+
+def test_memo_per_ring_and_dropped_by_cache_clear():
+    f = Forest([ladder(2), DOT])
+    over_q, over_p = ck_ops(QQ).coproduct(f), ck_ops(QP).coproduct(f)
+    assert over_q.ring is QQ and over_p.ring is QP
+    assert ck_ops(QQ).coproduct(f) is over_q
+    ck_ops.cache_clear()
+    fresh = ck_ops(QQ).coproduct(f)
+    assert fresh == over_q and fresh is not over_q
+
+
+def test_memo_interns_basis_elements_and_coefficients():
+    # gl_coproduct builds new trees and coefficients on every call; the
+    # memo stores one object per distinct value
+    ops = gl_ops(QQ)
+    values = (ops.coproduct(RootedTree([DOT, DOT])), ops.coproduct(ladder(3)))
+    dots = [x for v in values for pair in v.terms for x in pair if x == DOT]
+    ones = [c for v in values for c in v.terms.values() if c == 1]
+    assert len(dots) == len(ones) == 4
+    assert all(x is dots[0] for x in dots) and all(c is ones[0] for c in ones)
+
+
+def test_accumulate_in_place():
+    acc = lc(x=1, y=2)
+    accumulate(acc, lc(x=1, z=1), -1)
+    assert acc == lc(y=2, z=-1)
+    assert X not in acc.terms  # cancelled terms leave the dict
+    with pytest.raises(RingMismatchError):
+        accumulate(acc, LinComb.term(QP, X), 1)
 
 
 def test_cocommutativity_check():
@@ -168,6 +298,17 @@ def test_duality_degenerate_triple():
     tens = TensorElem.tensor(gl.term(bplus(u)), gl.term(bplus(u)))
     rhs = tensor_pairing(pairing_kt_hk, tens, gl.coproduct(bplus(ck.unit)))
     assert lhs == rhs == 0
+
+
+def test_law_without_cases_fails():
+    rep = Report("demo", 0)
+    rep.law("empty law", [], lambda case: None)
+    rep.add("single check", True)
+    empty, single = rep.entries
+    assert not empty.ok and empty.witness == "no cases checked"
+    assert empty.line() == "FAIL empty law witness: no cases checked"
+    assert single.ok and single.checked == 0
+    assert not rep.passed
 
 
 def test_report_json_shape():
