@@ -264,7 +264,7 @@ def accumulate(acc, x, c) -> None:
     """Add c * x to acc in place: the one accumulation step of the module.
 
     acc and x are both LinComb or both TensorElem over one ring.  acc must be
-    a value its caller built, never one handed out by a HopfOps memo, whose
+    a value its caller built, never a frozen one handed out by a memo, whose
     terms are read-only.
     """
     _check_ring(acc, x)
@@ -280,8 +280,8 @@ def accumulate(acc, x, c) -> None:
 
 
 class _ReadOnly:
-    """A value handed out by a HopfOps memo: its terms are a read-only view
-    and its attributes cannot be rebound."""
+    """A value handed out by a memo (see freeze): its terms are a read-only
+    view and its attributes cannot be rebound."""
 
     __slots__ = ()
 
@@ -298,6 +298,26 @@ class _CachedLinComb(_ReadOnly, LinComb):
 
 class _CachedTensorElem(_ReadOnly, TensorElem):
     __slots__ = ()
+
+
+def freeze(x, table=None):
+    """A read-only copy of the LinComb or TensorElem x, for a memo to hand
+    out.  With a table, its basis elements and coefficients are the ones
+    interned there."""
+    intern = ({} if table is None else table).setdefault
+    if isinstance(x, TensorElem):
+        cls = _CachedTensorElem
+        terms = {
+            (intern(a, a), intern(b, b)): intern(c, c)
+            for (a, b), c in x.terms.items()
+        }
+    else:
+        cls = _CachedLinComb
+        terms = {intern(b, b): intern(c, c) for b, c in x.terms.items()}
+    out = object.__new__(cls)
+    object.__setattr__(out, "ring", x.ring)
+    object.__setattr__(out, "terms", MappingProxyType(terms))
+    return out
 
 
 class MonomialProduct:
@@ -351,26 +371,8 @@ class HopfOps:
         """The memoised value of compute(*args) under key."""
         value = self._memo.get(key)
         if value is None:
-            value = self._memo[key] = self._freeze(compute(*args))
+            value = self._memo[key] = freeze(compute(*args), self._interned)
         return value
-
-    def _freeze(self, x):
-        """A read-only copy of x whose basis elements and coefficients are
-        the interned ones."""
-        intern = self._interned.setdefault
-        if isinstance(x, TensorElem):
-            cls = _CachedTensorElem
-            terms = {
-                (intern(a, a), intern(b, b)): intern(c, c)
-                for (a, b), c in x.terms.items()
-            }
-        else:
-            cls = _CachedLinComb
-            terms = {intern(b, b): intern(c, c) for b, c in x.terms.items()}
-        out = object.__new__(cls)
-        object.__setattr__(out, "ring", x.ring)
-        object.__setattr__(out, "terms", MappingProxyType(terms))
-        return out
 
     def counit(self, b):
         return self.ring.one if self.degree(b) == 0 else self.ring.zero

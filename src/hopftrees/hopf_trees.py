@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Any, NamedTuple
 
 from .freemodule import HopfOps, LinComb, MonomialProduct, TensorElem
 from .scalar import QQ, Fraction
@@ -25,12 +26,10 @@ from .trees import (
     ResourceLimitError,
     RootedTree,
     bba_decode,
-    canonicalize,
     enumerate_planar,
     enumerate_rooted,
     env_ceiling,
     sym_order,
-    to_planar,
 )
 
 # ---------------------------------------------------------------------------
@@ -74,105 +73,61 @@ def ordered_forests_of_weight(n: int):
 # cuts
 
 
-class Cut:
-    """A subset of the edges of a tree together with the pieces it produces.
+class Cut(NamedTuple):
+    """The pieces a set of cut edges produces: ``fallen``, the components
+    separated from the root (a Forest for a rooted tree; for a planar tree an
+    OrderedForest in the preorder of their roots), ``root_part``, the
+    component containing the root, and ``weight``, the number of cut edges.
+    A cut is admissible when no cut edge lies on the path from the root to
+    another."""
 
-    Edges are pairs (parent preorder id, child index) in the preorder
-    numbering of the tree (for rooted trees: of its canonical planar
-    realization).  ``fallen`` holds the components separated from the root
-    (ordered by the preorder position of their roots for planar trees,
-    canonically sorted for rooted trees) and ``root_part`` the component
-    containing the root.
-    """
-
-    __slots__ = ("tree", "edges", "admissible", "fallen", "root_part")
-
-    def __init__(self, tree, edges, admissible, fallen, root_part):
-        self.tree = tree
-        self.edges = edges
-        self.admissible = admissible
-        self.fallen = fallen
-        self.root_part = root_part
-
-    @property
-    def weight(self) -> int:
-        """|c|: the number of cut edges."""
-        return len(self.edges)
-
-    def __repr__(self):
-        return f"Cut(edges={sorted(self.edges)}, admissible={self.admissible})"
+    fallen: Any
+    root_part: Any
+    weight: int
+    admissible: bool
 
 
-def _index_planar(tree: PlanarTree):
-    """Preorder parent array and child-id lists."""
-    parents: list[int] = []
-    kids: list[list[int]] = []
-
-    def walk(node, parent):
-        idx = len(parents)
-        parents.append(parent)
-        kids.append([])
-        if parent >= 0:
-            kids[parent].append(idx)
-        for c in node.children:
-            walk(c, idx)
-
-    walk(tree, -1)
-    return parents, kids
-
-
-def _cut_is_admissible(parents, cutset) -> bool:
-    # admissible <=> no cut edge lies above another, i.e. no cut vertex has a
-    # cut proper ancestor
-    for v in cutset:
-        u = parents[v]
-        while u > 0:
-            if u in cutset:
-                return False
-            u = parents[u]
-    return True
-
-
-def _build_component(v, kids, cutset) -> PlanarTree:
-    return PlanarTree(_build_component(w, kids, cutset) for w in kids[v] if w not in cutset)
-
-
-def cuts_of(tree, admissible_only: bool = False):
-    """All 2^(edge count) cuts of a tree (or just the admissible ones).
-
-    Accepts a planar or a rooted tree; for rooted input the pieces are
-    canonicalized and the fallen part is a commutative Forest.
-    """
-    rooted = isinstance(tree, RootedTree)
-    planar = to_planar(tree) if rooted else tree
-    cap = env_ceiling(CUT_VERTEX_CAP)
-    if planar.size > cap:
-        raise ResourceLimitError(
-            f"cut enumeration on {planar.size} vertices exceeds cap {cap}"
-        )
-    parents, kids = _index_planar(planar)
-    n = len(parents)
-    edge_vertices = list(range(1, n))  # each non-root vertex labels its parent edge
-    edge_labels = {
-        v: (parents[v], kids[parents[v]].index(v)) for v in edge_vertices
-    }
+def _cuts(tree, admissible_only):
+    """(root part, fallen pieces in preorder, weight, admissible) for each
+    cut of tree.  For each child, either the edge above it stays and the
+    child's own cuts recurse, or the edge is cut and the child's root part
+    falls ahead of the child's fallen pieces; in an admissible cut a child
+    falls only whole."""
+    per_child = []
+    for c in tree.children:
+        sub = _cuts(c, admissible_only)
+        kept = [((root,), fallen, w, adm) for root, fallen, w, adm in sub]
+        cut = [
+            ((), (root,) + fallen, w + 1, w == 0)
+            for root, fallen, w, _ in sub
+            if w == 0 or not admissible_only
+        ]
+        per_child.append(kept + cut)
     out = []
-    for mask in range(1 << len(edge_vertices)):
-        cutset = {v for i, v in enumerate(edge_vertices) if mask >> i & 1}
-        admissible = _cut_is_admissible(parents, cutset)
-        if admissible_only and not admissible:
-            continue
-        fallen_trees = [_build_component(v, kids, cutset) for v in sorted(cutset)]
-        root_part = _build_component(0, kids, cutset)
-        if rooted:
-            fallen = Forest(canonicalize(T) for T in fallen_trees)
-            root_piece = canonicalize(root_part)
-        else:
-            fallen = OrderedForest(fallen_trees)
-            root_piece = root_part
-        edges = frozenset(edge_labels[v] for v in cutset)
-        out.append(Cut(tree, edges, admissible, fallen, root_piece))
+    for choice in itertools.product(*per_child):
+        kids, fallen, weight, admissible = (), (), 0, True
+        for k, f, w, adm in choice:
+            kids += k
+            fallen += f
+            weight += w
+            admissible = admissible and adm
+        out.append((type(tree)(kids), fallen, weight, admissible))
     return out
+
+
+def cuts_of(tree, admissible_only: bool = False) -> list:
+    """All 2^(edge count) cuts of a rooted or planar tree, or just the
+    admissible ones; the pieces have the tree's own type."""
+    cap = env_ceiling(CUT_VERTEX_CAP)
+    if tree.size > cap:
+        raise ResourceLimitError(
+            f"cut enumeration on {tree.size} vertices exceeds cap {cap}"
+        )
+    forest = Forest if isinstance(tree, RootedTree) else OrderedForest
+    return [
+        Cut(forest(fallen), root, weight, admissible)
+        for root, fallen, weight, admissible in _cuts(tree, admissible_only)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ with their numerical identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import LinComb, Report, TensorElem, accumulate
-from .hopf_trees import bplus, cuts_of, gl_ops, gl_product
+from .freemodule import LinComb, Report, TensorElem, accumulate, freeze
+from .hopf_trees import bplus, cuts_of, gl_ops
 from .morphisms import phi_star, rho_star
 from .scalar import QQ
 from .symfun import Partition, basis_expand, partitions_of, sym_product
@@ -30,9 +31,9 @@ from .trees import (
 def kappa(n: int) -> LinComb:
     """Sum of all rooted trees of degree n, each weighted by 1/|Sym|."""
     if n == 0:
-        return LinComb.term(QQ, DOT)
-    return LinComb(
-        QQ, {t: Fraction(1, sym_order(t)) for t in enumerate_rooted(n)}
+        return freeze(LinComb.term(QQ, DOT))
+    return freeze(
+        LinComb(QQ, {t: Fraction(1, sym_order(t)) for t in enumerate_rooted(n)})
     )
 
 
@@ -41,13 +42,13 @@ def epsilon(n: int) -> LinComb:
     """Alternating companions of kappa, defined by the grafting recursion
     eps_n = kappa_1 o eps_{n-1} - kappa_2 o eps_{n-2} + ... +- kappa_n."""
     if n == 0:
-        return LinComb.term(QQ, DOT)
+        return freeze(LinComb.term(QQ, DOT))
     gl = gl_ops(QQ)
     acc = LinComb.zero(QQ)
     for i in range(1, n + 1):
         term = gl.product_lc(kappa(i), epsilon(n - i))
         accumulate(acc, term, (-1) ** (i - 1))
-    return acc
+    return freeze(acc)
 
 
 def natural_growth(x, k: int = 1) -> LinComb:
@@ -64,7 +65,7 @@ def natural_growth(x, k: int = 1) -> LinComb:
 
 def n_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
     """Number of times the target appears in bplus(u) o t."""
-    coeff = gl_product(bplus(u), t).coeff(target)
+    coeff = gl_ops(QQ).product(bplus(u), t).coeff(target)
     assert coeff.denominator == 1
     return int(coeff)
 
@@ -79,10 +80,11 @@ def m_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
     return count
 
 
-def lemma_identity_holds(u: Forest, t: RootedTree, target: RootedTree) -> bool:
-    """n(u,t;t') |Sym(t')| = m(u,t;t') |Sym(B_+(u))| |Sym(t)|."""
+def lemma_identity_holds(u: Forest, t: RootedTree, target: RootedTree, m: int) -> bool:
+    """n(u,t;t') |Sym(t')| = m(u,t;t') |Sym(B_+(u))| |Sym(t)|, given the cut
+    count m = m(u,t;t')."""
     lhs = n_count(u, t, target) * sym_order(target)
-    rhs = m_count(u, t, target) * sym_order(bplus(u)) * sym_order(t)
+    rhs = m * sym_order(bplus(u)) * sym_order(t)
     return lhs == rhs
 
 
@@ -92,12 +94,12 @@ def lemma_check(max_vertices: int) -> Report:
     rep = Report("attachment/cut counting identity", max_vertices)
 
     def run(target):
-        decomps = {
+        decomps = Counter(
             (cut.fallen, cut.root_part)
             for cut in cuts_of(target, admissible_only=True)
-        }
-        for u, t in decomps:
-            if not lemma_identity_holds(u, t, target):
+        )
+        for (u, t), m in decomps.items():
+            if not lemma_identity_holds(u, t, target, m):
                 return f"t'={target!r}, u={u!r}, t={t!r}"
         return None
 

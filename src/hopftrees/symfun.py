@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import HopfOps, LinComb, Report, TensorElem, accumulate
+from .freemodule import HopfOps, LinComb, Report, TensorElem, accumulate, freeze
 from .scalar import QQ
 
 
@@ -220,7 +220,7 @@ def qsym_product_comp(i: Composition, j: Composition, ring=QQ) -> LinComb:
 
 
 def qsym_product(a: LinComb, b: LinComb) -> LinComb:
-    return a.bilinear(lambda i, j: qsym_product_comp(i, j, a.ring), b)
+    return qsym_ops(a.ring).product_lc(a, b)
 
 
 def qsym_coproduct(i: Composition, ring=QQ) -> TensorElem:
@@ -334,7 +334,7 @@ def sym_product_part(lam: Partition, mu: Partition, ring=QQ) -> LinComb:
 
 
 def sym_product(a: LinComb, b: LinComb) -> LinComb:
-    return a.bilinear(lambda x, y: sym_product_part(x, y, a.ring), b)
+    return sym_ops(a.ring).product_lc(a, b)
 
 
 def _multiset_splits(lam: Partition):
@@ -391,7 +391,7 @@ def product_expansion(name: str, parts: tuple, ring) -> LinComb:
     acc = LinComb.term(ring, EMPTY_PARTITION)
     for x in parts:
         acc = sym_product(acc, basis_expand(name, x, ring))
-    return acc
+    return freeze(acc)
 
 
 def to_e_products(x: LinComb):
@@ -443,8 +443,8 @@ def _h_matrix(n: int):
         row = [Fraction(0)] * len(lams)
         for mu, c in exp.terms.items():
             row[index[mu]] = c
-        rows.append(row)
-    return lams, rows
+        rows.append(tuple(row))
+    return lams, tuple(rows)
 
 
 def to_h_basis(x: LinComb) -> LinComb:

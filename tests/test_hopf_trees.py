@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hopftrees.freemodule import LinComb, TensorElem, generic_antipode, pairing_extend
@@ -28,6 +30,7 @@ from hopftrees.hopf_trees import (
 )
 from hopftrees.scalar import QQ
 from hopftrees.trees import (
+    CUT_VERTEX_CAP,
     DOT,
     EMPTY_FOREST,
     EMPTY_ORDERED,
@@ -106,13 +109,66 @@ def test_cuts_examples():
 
 
 def test_cut_pieces():
-    cuts = {
-        frozenset(c.edges): c for c in cuts_of(L3)
-    }
-    full = cuts[frozenset({(0, 0), (1, 0)})]
+    (full,) = [c for c in cuts_of(L3) if c.weight == 2]
     assert not full.admissible
     assert full.fallen == Forest([DOT, DOT])
     assert full.root_part == DOT
+
+
+def _oracle_cuts(tree):
+    """(fallen, root part, weight, admissible) of every edge subset of tree,
+    from a preorder parent array: the brute-force reference for cuts_of.
+    Vertex v > 0 stands for the edge above it."""
+    parents, kids = [], []
+
+    def walk(node, parent):
+        v = len(parents)
+        parents.append(parent)
+        kids.append([])
+        if parent >= 0:
+            kids[parent].append(v)
+        for c in node.children:
+            walk(c, v)
+
+    walk(tree, -1)
+    # the non-root proper ancestors of each vertex: the edges above its edge
+    above = [set()]
+    for v in range(1, len(parents)):
+        u = parents[v]
+        above.append(above[u] | {u} if u > 0 else set())
+    rooted = isinstance(tree, RootedTree)
+    make = RootedTree if rooted else PlanarTree
+    forest = Forest if rooted else OrderedForest
+    out = []
+    for mask in range(1 << (len(parents) - 1)):
+        cut = {v for v in range(1, len(parents)) if mask >> (v - 1) & 1}
+
+        def piece(v):
+            return make(piece(w) for w in kids[v] if w not in cut)
+
+        admissible = not any(above[v] & cut for v in cut)
+        fallen = forest(piece(v) for v in sorted(cut))
+        out.append((fallen, piece(0), len(cut), admissible))
+    return out
+
+
+def test_cuts_match_edge_subset_oracle():
+    trees = [
+        t
+        for n in range(CUT_VERTEX_CAP)
+        for t in enumerate_planar(n) + enumerate_rooted(n)
+    ]
+    for t in trees:
+        want = Counter(_oracle_cuts(t))
+        admissible = Counter({cut: k for cut, k in want.items() if cut[3]})
+        for got, expected in (
+            (cuts_of(t), want),
+            (cuts_of(t, admissible_only=True), admissible),
+        ):
+            pieces = Counter(
+                (c.fallen, c.root_part, c.weight, c.admissible) for c in got
+            )
+            assert pieces == expected, t
 
 
 def test_cut_resource_cap():
