@@ -58,14 +58,24 @@ class DSESolution:
 
 def cp_coefficient(tree) -> Poly:
     """Product over internal vertices of binom(p, number of children);
-    invariant under forgetting planarity."""
-    acc = ONE_POLY
+    invariant under forgetting planarity.  It depends only on the multiset
+    of child counts, which keys the memo."""
+    counts = []
     stack = [tree]
     while stack:
         node = stack.pop()
         if node.children:
-            acc = acc * binom_poly(len(node.children))
+            counts.append(len(node.children))
             stack.extend(node.children)
+    return _binom_product(tuple(sorted(counts)))
+
+
+@lru_cache(maxsize=None)
+def _binom_product(counts: tuple) -> Poly:
+    """binom(p, c) multiplied over the sorted child counts c."""
+    acc = ONE_POLY
+    for c in counts:
+        acc = acc * binom_poly(c)
     return acc
 
 
@@ -82,23 +92,28 @@ def solve_recursive(max_degree: int) -> DSESolution:
 
     The first planar term is the single vertex; the part of degree n+1 is
     the sum over 1 <= k <= n of binom(p, k) applied to the root-grafting of
-    all length-k products of lower parts with total degree n.
+    Y_k[n], the sum of all ordered length-k products of lower parts with
+    total degree n.  Y_k is the k-th convolution power of X = sum X_n:
+    Y_1[n] = X_n and Y_k[n] = sum_j Y_{k-1}[n-j] X_j, so each Y_k[n] is one
+    product per last part, built from powers kept from lower degrees.
     """
     hf = hf_ops(QP)
     sol = DSESolution(max_degree)
+    x = sol.hf_terms
     if max_degree >= 1:
-        sol.hf_terms[1] = _singleton(planar_ladder(1))
+        x[1] = _singleton(planar_ladder(1))
+    powers = {}  # (k, n) -> Y_k[n]
     for n in range(1, max_degree):
+        powers[1, n] = x[n]
+        for k in range(2, n + 1):
+            y = LinComb.zero(QP)
+            for j in range(1, n - k + 2):
+                accumulate(y, hf.product_lc(powers[k - 1, n - j], x[j]), QP.one)
+            powers[k, n] = y
         acc = LinComb.zero(QP)
         for k in range(1, n + 1):
-            inner = LinComb.zero(QP)
-            for comp in compositions_of_length(n, k):
-                prod = LinComb.term(QP, EMPTY_ORDERED)
-                for ni in comp:
-                    prod = hf.product_lc(prod, sol.hf_terms[ni])
-                accumulate(inner, prod, QP.one)
-            accumulate(acc, _bplus_lc(inner), binom_poly(k))
-        sol.hf_terms[n + 1] = acc
+            accumulate(acc, _bplus_lc(powers[k, n]), binom_poly(k))
+        x[n + 1] = acc
     for n in range(1, max_degree + 1):
         sol.hk_terms[n] = rho(sol.hf_terms[n])
     return sol

@@ -9,6 +9,7 @@ rational coefficients).  No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Union
 
@@ -30,7 +31,8 @@ class Poly:
 
     coeffs[i] is the coefficient of p**i; the tuple carries no trailing
     zeros, so the zero polynomial has an empty tuple.  Values are immutable
-    and hashable, and mix freely with int and Fraction in arithmetic.
+    (rebinding coeffs raises) and hashable, so caches may share them, and
+    they mix freely with int and Fraction in arithmetic.
     """
 
     __slots__ = ("coeffs",)
@@ -40,6 +42,23 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _normalised(cls, coeffs: tuple) -> "Poly":
+        """Wrap a tuple of Fractions that already has no trailing zero."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "coeffs", coeffs)
+        return q
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly values are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Poly values are immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting the slot
+        return (Poly, (self.coeffs,))
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -99,14 +118,24 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if b == (1,):
+            return self
+        if a == (1,):
+            return other
+        # Over Q a product of nonzero leading coefficients is nonzero, so no
+        # product below has a trailing zero.
+        if len(a) == 1:
+            return Poly._normalised(tuple(a[0] * x for x in b))
+        if len(b) == 1:
+            return Poly._normalised(tuple(x * b[0] for x in a))
         if not a or not b:
-            return Poly()
+            return ZERO_POLY
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Poly(out)
+        return Poly._normalised(tuple(out))
 
     __rmul__ = __mul__
 
@@ -225,8 +254,11 @@ def poly_eval(a: Poly, v) -> Fraction:
     return _coerce_poly(a).eval_at(v)
 
 
+@lru_cache(maxsize=None)
 def binom_poly(k: int) -> Poly:
-    """The degree-k polynomial p(p-1)...(p-k+1)/k!; the constant 1 for k=0."""
+    """The degree-k polynomial p(p-1)...(p-k+1)/k!; the constant 1 for k=0.
+
+    Memoised: every caller shares one immutable value per k."""
     return binom_of(P, k)
 
 

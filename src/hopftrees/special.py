@@ -70,14 +70,17 @@ def n_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
     return int(coeff)
 
 
+def _cut_tally(target: RootedTree) -> Counter:
+    """The target's admissible cuts counted by (fallen part, root part)."""
+    return Counter(
+        (cut.fallen, cut.root_part) for cut in cuts_of(target, admissible_only=True)
+    )
+
+
 def m_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
     """Number of distinct admissible cuts of the target with fallen part u
     and root part t."""
-    count = 0
-    for cut in cuts_of(target, admissible_only=True):
-        if cut.fallen == u and cut.root_part == t:
-            count += 1
-    return count
+    return _cut_tally(target)[u, t]
 
 
 def lemma_identity_holds(u: Forest, t: RootedTree, target: RootedTree, m: int) -> bool:
@@ -94,11 +97,7 @@ def lemma_check(max_vertices: int) -> Report:
     rep = Report("attachment/cut counting identity", max_vertices)
 
     def run(target):
-        decomps = Counter(
-            (cut.fallen, cut.root_part)
-            for cut in cuts_of(target, admissible_only=True)
-        )
-        for (u, t), m in decomps.items():
+        for (u, t), m in _cut_tally(target).items():
             if not lemma_identity_holds(u, t, target, m):
                 return f"t'={target!r}, u={u!r}, t={t!r}"
         return None
@@ -208,9 +207,11 @@ def growth_formulas_check(max_weight: int) -> Report:
             cases.append((t, k))
     rep.law("phi* intertwines growth with e_1 multiplication", cases, image_growth)
 
+    tally = lru_cache(maxsize=None)(_cut_tally)  # each t_mu's cuts once
+
     def count_vs_coeff(pair):
         lam, mu = pair
-        lhs = m_count(Forest((DOT,)), t_lambda(lam.parts), t_lambda(mu.parts))
+        lhs = tally(t_lambda(mu.parts))[Forest((DOT,)), t_lambda(lam.parts)]
         rhs = sym_product(e1, LinComb.term(QQ, lam)).coeff(mu)
         if lhs != rhs:
             return f"lambda={lam.parts}, mu={mu.parts}"

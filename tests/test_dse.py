@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hopftrees.dse import (
@@ -13,7 +15,7 @@ from hopftrees.dse import (
 )
 from hopftrees.freemodule import LinComb, TensorElem
 from hopftrees.hopf_trees import ck_ops, hf_ops
-from hopftrees.scalar import P, Poly, QP, QQ, binom_poly
+from hopftrees.scalar import P, Poly, QP, QQ, binom_of, binom_poly
 from hopftrees.trees import (
     DOT,
     EMPTY_FOREST,
@@ -21,7 +23,9 @@ from hopftrees.trees import (
     OrderedForest,
     RootedTree,
     bba_decode,
+    canonicalize,
     embedding_count,
+    enumerate_planar,
     enumerate_rooted,
     ladder,
     planar_ladder,
@@ -65,10 +69,71 @@ def test_cp_examples():
     )
 
 
+def test_cp_coefficient_matches_fresh_vertex_product():
+    # the memo keyed on child counts against binom(p, c) computed afresh
+    # at every internal vertex, on planar trees and their rooted shapes
+    def fresh(tree):
+        acc = Poly((1,))
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                acc = acc * binom_of(P, len(node.children))
+                stack.extend(node.children)
+        return acc
+
+    for n in range(9):
+        for T in enumerate_planar(n):
+            want = fresh(T)
+            assert cp_coefficient(T) == want
+            assert cp_coefficient(canonicalize(T)) == want
+
+
+def test_shared_coefficients_are_immutable():
+    tree = bba_decode("<><<>>")
+    for q in (P, binom_poly(3), cp_coefficient(tree)):
+        with pytest.raises(AttributeError):
+            q.coeffs = (5,)
+        with pytest.raises(AttributeError):
+            del q.coeffs
+    third, half, sixth = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
+    assert P.coeffs == (0, 1)
+    assert binom_poly(3).coeffs == (0, third, -half, sixth)
+    assert cp_coefficient(tree).coeffs == (0, 0, -half, half)
+
+
+def test_recursive_small_degrees_by_hand():
+    # X_{n+1} = sum_k binom(p, k) B+(sum of ordered k-fold products of lower
+    # parts of total degree n), expanded by hand up to degree 4
+    def planar(terms):
+        return LinComb(QP, {hf_tree(bba_decode(s)): c for s, c in terms.items()})
+
+    p2 = binom_poly(2)
+    want = {
+        1: planar({"": 1}),
+        2: planar({"<>": P}),
+        3: planar({"<<>>": P * P, "<><>": p2}),
+        4: planar(
+            {
+                "<<<>>>": P * P * P,  # B+(X_3): ladder
+                "<<><>>": P * p2,  # B+(X_3): grafted cherry
+                "<><<>>": p2 * P,  # B+(X_1 X_2)
+                "<<>><>": p2 * P,  # B+(X_2 X_1)
+                "<><><>": binom_poly(3),  # B+(X_1 X_1 X_1)
+            }
+        ),
+    }
+    for n in range(1, 5):
+        rec = solve_recursive(n)
+        assert sorted(rec.hf_terms) == list(range(1, n + 1))
+        for m in range(1, n + 1):
+            assert rec.hf(m) == want[m]
+
+
 def test_recursive_equals_closed_small():
-    rec = solve_recursive(6)
-    clo = solve_closed(6)
-    for n in range(1, 7):
+    rec = solve_recursive(9)
+    clo = solve_closed(9)
+    for n in range(1, 10):
         assert rec.hf(n) == clo.hf(n)
         assert rec.hk(n) == clo.hk(n)
 

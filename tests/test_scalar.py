@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
 from math import comb, gcd
 
@@ -10,6 +13,7 @@ from hopftrees.scalar import (
     Poly,
     QP,
     QQ,
+    ZERO_POLY,
     binom_of,
     binom_poly,
     poly_eval,
@@ -72,6 +76,55 @@ def test_poly_operators():
     assert P + P == Poly((0, 2))
     assert P - ONE_POLY == Poly((-1, 1))
     assert (P + 1) * (P - 1) == P * P - 1
+
+
+small_rationals = st.fractions(
+    min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
+)
+polys = st.one_of(
+    st.sampled_from([ZERO_POLY, ONE_POLY, -ONE_POLY]),
+    small_rationals.map(Poly.const),
+    st.lists(small_rationals, max_size=6).map(Poly),
+)
+operands = st.one_of(polys, st.integers(-5, 5), small_rationals)
+
+
+def _schoolbook(op, x, y):
+    """Reference coefficients of op(x, y) over Fraction, trailing zeros cut."""
+    a, b = ([Fraction(c) for c in getattr(v, "coeffs", (v,))] for v in (x, y))
+    if op is operator.mul:
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    else:
+        sign = 1 if op is operator.add else -1
+        a, b = a + [Fraction(0)] * len(b), b + [Fraction(0)] * len(a)
+        out = [ca + sign * cb for ca, cb in zip(a, b)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@given(polys, operands)
+def test_poly_arithmetic_matches_schoolbook(q, other):
+    for x, y in ((q, other), (other, q)):
+        for op in (operator.mul, operator.add, operator.sub):
+            r = op(x, y)
+            assert isinstance(r, Poly)
+            assert r.coeffs == _schoolbook(op, x, y)
+            assert all(type(c) is Fraction for c in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1] != 0
+    for one in (ONE_POLY, 1, Fraction(1)):
+        assert q * one is q
+        if q != 1:  # when both factors are 1, either may come back
+            assert one * q is q
+
+
+def test_poly_copies_and_pickles():
+    q = binom_poly(3)
+    for r in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert r == q and r.coeffs == q.coeffs
 
 
 def test_poly_compose_affine():
