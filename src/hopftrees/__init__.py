@@ -5,11 +5,11 @@ Connes-Kreimer algebra, their planar analogues, the Hopf algebras of
 symmetric, quasi-symmetric and noncommutative symmetric functions, the
 morphisms connecting all of them, and explicit solutions of the
 combinatorial Dyson-Schwinger equation X = 1 + B_+(X^p) — all over exact
-rational (or rational-polynomial) scalars, with machine-checkable
+integer, rational or rational-polynomial scalars, with machine-checkable
 verification suites for every structural identity.
 """
 
-from .scalar import QQ, QP, Poly, Rational, binom_of, binom_poly, poly_eval
+from .scalar import QQ, QP, ZZ, Poly, Rational, binom_of, binom_poly, poly_eval
 from .trees import (
     BBAParseError,
     Forest,

@@ -46,7 +46,7 @@ from .hopf_trees import (
     pairing_kp_hf,
     pairing_kt_hk,
 )
-from .scalar import ONE_POLY, Poly, QP, QQ, signed_join
+from .scalar import ONE_POLY, Poly, QP, QQ, ZZ, signed_join
 from .symfun import (
     Composition,
     Partition,
@@ -412,7 +412,7 @@ def render_basis(b, algebra: str) -> str:
 
 def _render_coeff(c, ring) -> tuple[bool, str]:
     """(negated, body) where body has no leading sign and parses as a coeff."""
-    if isinstance(c, Fraction):
+    if not isinstance(c, Poly):
         return c < 0, str(abs(c))
     nonzero = [x for x in c.coeffs if x != 0]
     if len(nonzero) == 1:
@@ -595,19 +595,23 @@ def _cmd_dse(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# Every structure constant of the seven algebras counts something (graftings,
+# cuts, shuffles, quasi-shuffles, deconcatenations), and so does every tree
+# pairing, so the axiom and duality suites run over the integers; ZZ rejects
+# a non-integral coefficient instead of rounding it.
 def _suite_axioms(n: int):
     out = []
     for factory in (gl_ops, ck_ops, kp_ops, sym_ops, qsym_ops, nsym_ops):
-        out.append(check_axioms(factory(QQ), n))
-    out.append(check_axioms(hf_ops(QQ), min(n, 5)))
+        out.append(check_axioms(factory(ZZ), n))
+    out.append(check_axioms(hf_ops(ZZ), min(n, 5)))
     return out
 
 
 def _suite_duality(n: int):
     return [
-        duality_check(ck_ops(QQ), gl_ops(QQ), bplus, pairing_hk, pairing_kt_hk, n),
+        duality_check(ck_ops(ZZ), gl_ops(ZZ), bplus, pairing_hk, pairing_kt_hk, n),
         duality_check(
-            hf_ops(QQ), kp_ops(QQ), bplus_ordered, pairing_hf, pairing_kp_hf, n
+            hf_ops(ZZ), kp_ops(ZZ), bplus_ordered, pairing_hf, pairing_kp_hf, n
         ),
     ]
 

@@ -291,6 +291,11 @@ class _ReadOnly:
     def __delattr__(self, name):
         raise AttributeError(f"a cached {type(self).__name__} is read-only")
 
+    def __reduce__(self):
+        # copy and pickle give an ordinary, mutable LinComb or TensorElem (the
+        # last base class) with the same terms
+        return (type(self).__bases__[-1], (self.ring, dict(self.terms)))
+
 
 class _CachedLinComb(_ReadOnly, LinComb):
     __slots__ = ()

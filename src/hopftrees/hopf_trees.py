@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Any, NamedTuple
 
 from .freemodule import HopfOps, LinComb, MonomialProduct, TensorElem
-from .scalar import QQ, Fraction
+from .scalar import QQ
 from .trees import (
     CUT_VERTEX_CAP,
     DOT,
@@ -374,19 +374,19 @@ def hf_ops(ring=QQ) -> HopfOps:
 # inner products
 
 
-def pairing_kt_hk(t: RootedTree, u: RootedTree) -> Fraction:
+def pairing_kt_hk(t: RootedTree, u: RootedTree) -> int:
     """|Sym(t)| on the diagonal, 0 off it."""
-    return Fraction(sym_order(t)) if t == u else Fraction(0)
+    return sym_order(t) if t == u else 0
 
 
-def pairing_hk(u: Forest, v: Forest) -> Fraction:
+def pairing_hk(u: Forest, v: Forest) -> int:
     """Forest extension of the kT inner product through bplus."""
     return pairing_kt_hk(bplus(u), bplus(v))
 
 
-def pairing_kp_hf(t: PlanarTree, u: PlanarTree) -> Fraction:
-    return Fraction(1) if t == u else Fraction(0)
+def pairing_kp_hf(t: PlanarTree, u: PlanarTree) -> int:
+    return 1 if t == u else 0
 
 
-def pairing_hf(f: OrderedForest, g: OrderedForest) -> Fraction:
+def pairing_hf(f: OrderedForest, g: OrderedForest) -> int:
     return pairing_kp_hf(bplus_ordered(f), bplus_ordered(g))

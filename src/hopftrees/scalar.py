@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic: rationals and univariate polynomials over them.
+"""Exact scalar arithmetic: integers, rationals and univariate polynomials.
 
-Every algebraic module in the package is generic over a scalar ring; the two
-rings provided here are QQ (arbitrary-precision rationals, backed by
-fractions.Fraction) and QP (polynomials in the formal indeterminate p with
-rational coefficients).  No floating point is used anywhere.
+Every algebraic module in the package is generic over a scalar ring; the
+three rings provided here are ZZ (arbitrary-precision integers, plain int),
+QQ (arbitrary-precision rationals, backed by fractions.Fraction) and QP
+(polynomials in the formal indeterminate p with rational coefficients).  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Union
 
 Rational = Fraction
 
-Scalar = Union[Fraction, "Poly"]
+Scalar = Union[int, Fraction, "Poly"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -24,6 +25,16 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} into a rational")
+
+
+def _as_integer(x) -> int:
+    """An int, or a Fraction with denominator 1, as an int; anything else
+    raises, so a non-integral value is caught and never rounded."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise TypeError(f"cannot coerce {x!r} into an integer")
 
 
 class Poly:
@@ -236,6 +247,14 @@ class Ring:
     def render(self, a) -> str:
         return self._render(a)
 
+    def __reduce__(self):
+        # copy and pickle hand back the module's own ring object: values are
+        # tagged by ring identity, so a second ring would never mix with them
+        for name, ring in globals().items():
+            if ring is self:
+                return name
+        raise TypeError(f"{self!r} is not a ring of {__name__}")
+
     def __repr__(self):
         return f"Ring({self.name})"
 
@@ -246,6 +265,7 @@ def _coerce_poly(x) -> Poly:
     return Poly((_as_fraction(x),))
 
 
+ZZ = Ring("Z", 0, 1, _as_integer, str)
 QQ = Ring("Q", Fraction(0), Fraction(1), _as_fraction, str)
 QP = Ring("Q[p]", ZERO_POLY, ONE_POLY, _coerce_poly, poly_str)
 

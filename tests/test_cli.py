@@ -16,8 +16,8 @@ from hopftrees.cli import (
     render_tensor,
     run,
 )
-from hopftrees.freemodule import LinComb, Report
-from hopftrees.scalar import P, QP, QQ, binom_poly
+from hopftrees.freemodule import HopfOps, LinComb, Report, check_axioms
+from hopftrees.scalar import P, QP, QQ, ZZ, binom_poly
 from hopftrees.symfun import Composition, Partition
 from hopftrees.trees import DOT, Forest, OrderedForest, RootedTree, bba_decode, ladder
 
@@ -93,6 +93,12 @@ def test_render_parse_round_trip(algebra, text):
     again = parse_expr(rendered, algebra)
     assert again.value == expr.value
     assert render_lincomb(again.value, algebra) == rendered
+    # the same integral values over ZZ render alike
+    over_z = expr.value.map_coeffs(ZZ.coerce, ZZ)
+    assert render_lincomb(over_z, algebra) == rendered
+    assert render_tensor(cli._ops_for(algebra, ZZ).coproduct_lc(over_z), algebra) == (
+        render_tensor(cli._ops_for(algebra, QQ).coproduct_lc(expr.value), algebra)
+    )
 
 
 def test_render_parse_round_trip_poly():
@@ -301,6 +307,48 @@ def test_cli_check_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(cli._SUITES, "axioms", (lambda n: [failing], 1))
     assert run(["check", "--suite", "axioms"]) == 1
     assert "FAILURES PRESENT" in capsys.readouterr().out
+
+
+def test_integral_suites_run_over_zz(monkeypatch, capsys):
+    seen = []
+
+    def record(*args):
+        seen.extend(x.ring for x in args if isinstance(x, HopfOps))
+        return Report("stub", 0)
+
+    monkeypatch.setattr(cli, "check_axioms", record)
+    monkeypatch.setattr(cli, "duality_check", record)
+    assert run(["check", "--suite", "axioms", "--max-degree", "1"]) == 0
+    assert run(["check", "--suite", "duality", "--max-degree", "1"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 7 + 2 * 2 and all(ring is ZZ for ring in seen)
+
+
+def test_non_integral_constant_over_zz_is_an_error(monkeypatch, capsys):
+    base = cli.nsym_ops(ZZ)
+
+    def halved(a, b):
+        out = base.product(a, b)
+        if base.degree(a) == base.degree(b) == 1:
+            return LinComb(ZZ, {w: Fraction(c, 2) for w, c in out.terms.items()})
+        return out
+
+    broken = HopfOps(
+        name="NSym",
+        ring=ZZ,
+        unit=base.unit,
+        degree=base.degree,
+        basis=base.basis,
+        product=halved,
+        coproduct=base.coproduct,
+    )
+    with pytest.raises(TypeError, match="integer"):
+        check_axioms(broken, 2)
+    # neither a pass nor a usage error (exit 2): the CLI lets it propagate
+    monkeypatch.setattr(cli, "nsym_ops", lambda ring: broken)
+    with pytest.raises(TypeError, match="integer"):
+        run(["check", "--suite", "axioms", "--max-degree", "2"])
+    assert "ALL PASS" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

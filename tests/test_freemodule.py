@@ -1,9 +1,14 @@
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hopftrees.freemodule import (
     HopfOps,
     LinComb,
+    MonomialProduct,
     Report,
     RingMismatchError,
     TensorElem,
@@ -18,6 +23,7 @@ from hopftrees.freemodule import (
 )
 from hopftrees.hopf_trees import (
     bplus,
+    bplus_ordered,
     ck_antipode,
     ck_coproduct,
     ck_ops,
@@ -30,10 +36,13 @@ from hopftrees.hopf_trees import (
     kp_coproduct,
     kp_ops,
     kp_product,
+    pairing_hf,
     pairing_hk,
+    pairing_kp_hf,
     pairing_kt_hk,
 )
-from hopftrees.scalar import QP, QQ
+from hopftrees.scalar import QP, QQ, ZZ
+from hopftrees.special import kappa
 from hopftrees.symfun import (
     Composition,
     Partition,
@@ -160,7 +169,7 @@ def test_check_axioms_catches_mutation():
 
 
 def _closed(fn):
-    return lambda ops, b: fn(b)
+    return lambda ops, b: fn(b, ops.ring)
 
 
 # (ops factory, direct product, direct coproduct, direct antipode); the
@@ -178,20 +187,89 @@ KERNELS = [
 
 @pytest.mark.parametrize("factory, product, coproduct, antipode", KERNELS)
 def test_memo_kernel_matches_direct_maps(factory, product, coproduct, antipode):
-    ops = factory(QQ)
-    by_deg = {n: list(ops.basis(n)) for n in range(5)}
-    for a, b in _pairs_upto(by_deg, 4):
-        if product is None:
-            assert ops.product(a, b) == LinComb.term(QQ, a.mul(b))
-        else:
-            assert ops.product(a, b) == product(a, b)
-            assert ops.product(a, b) is ops.product(a, b)
-    for n in range(5):
-        for b in by_deg[n]:
-            assert ops.coproduct(b) == coproduct(b)
-            assert ops.coproduct(b) is ops.coproduct(b)
-            assert ops.antipode_basis(b) == antipode(ops, b)
-            assert ops.antipode_basis(b) is ops.antipode_basis(b)
+    # QQ and ZZ, the two rings the suites build these ops over
+    for ring in (QQ, ZZ):
+        ops = factory(ring)
+        by_deg = {n: list(ops.basis(n)) for n in range(5)}
+        for a, b in _pairs_upto(by_deg, 4):
+            if product is None:
+                assert ops.product(a, b) == LinComb.term(ring, a.mul(b))
+            else:
+                assert ops.product(a, b) == product(a, b, ring)
+                assert ops.product(a, b) is ops.product(a, b)
+        for n in range(5):
+            for b in by_deg[n]:
+                assert ops.coproduct(b) == coproduct(b, ring)
+                assert ops.coproduct(b) is ops.coproduct(b)
+                assert ops.antipode_basis(b) == antipode(ops, b)
+                assert ops.antipode_basis(b) is ops.antipode_basis(b)
+        # equal values may differ in type (2 == Fraction(2)): every stored
+        # coefficient has the ring's own type
+        scalar = int if ring is ZZ else Fraction
+        stored = [c for v in ops._memo.values() for c in v.terms.values()]
+        assert stored and all(type(c) is scalar for c in stored)
+
+
+def test_axiom_and_duality_reports_agree_over_qq_and_zz():
+    def reports(ring):
+        out = [check_axioms(factory(ring), 4) for factory, *_ in KERNELS]
+        for forests, trees, bp, pair_f, pair_t in (
+            (ck_ops, gl_ops, bplus, pairing_hk, pairing_kt_hk),
+            (hf_ops, kp_ops, bplus_ordered, pairing_hf, pairing_kp_hf),
+        ):
+            out.append(duality_check(forests(ring), trees(ring), bp, pair_f, pair_t, 4))
+        assert all(rep.passed for rep in out)
+        return [rep.lines() for rep in out]
+
+    assert reports(QQ) == reports(ZZ)
+
+
+@pytest.mark.parametrize("corrupt", ["product", "coproduct"])
+@pytest.mark.parametrize("factory", [k[0] for k in KERNELS], ids=lambda f: f.__name__)
+def test_check_axioms_catches_one_wrong_coefficient(factory, corrupt):
+    """One coefficient changed on one degree-2 input of a fresh ZZ HopfOps:
+    the product of a degree-1 element with itself, or a coproduct term with
+    both sides of positive degree."""
+    base = factory(ZZ)
+    x = base.basis(1)[0]
+    y, (left, right) = next(
+        (y, pair)
+        for y in base.basis(2)
+        for pair, _ in base.coproduct(y).sorted_terms()
+        if base.degree(pair[0]) and base.degree(pair[1])
+    )
+    product, coproduct = base.product, base.coproduct
+    if corrupt == "product":
+        # for the forest algebras base.product is the MonomialProduct itself
+        assert isinstance(product, MonomialProduct) == (factory in (ck_ops, hf_ops))
+
+        def product(a, b):
+            out = base.product(a, b)
+            if a == b == x:
+                out = out + LinComb.term(ZZ, out.sorted_terms()[0][0])
+            return out
+
+    else:
+
+        def coproduct(b):
+            out = base.coproduct(b)
+            if b == y:
+                out = out + TensorElem.term(ZZ, left, right)
+            return out
+
+    broken = HopfOps(
+        name=base.name,
+        ring=ZZ,
+        unit=base.unit,
+        degree=base.degree,
+        basis=base.basis,
+        product=product,
+        coproduct=coproduct,
+        antipode=base.antipode,
+    )
+    rep = check_axioms(broken, 3)
+    failed = [e for e in rep.entries if not e.ok]
+    assert failed and all(e.witness for e in failed)
 
 
 def test_memo_values_are_read_only():
@@ -222,6 +300,34 @@ def test_memo_values_are_read_only():
     direct = kp_coproduct(t)
     direct.terms.clear()
     assert ops.coproduct(t) == kp_coproduct(t)
+
+
+def test_values_keep_their_ring_through_copy_and_pickle():
+    for ring in (ZZ, QQ, QP):
+        for v in (LinComb.term(ring, DOT, 3), TensorElem.term(ring, DOT, DOT, 3)):
+            for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert c.ring is ring and c == v
+                assert c + v == v.scale(2)
+
+
+def test_memo_values_copy_to_mutable_values():
+    ops = kp_ops(ZZ)
+    t = ops.basis(3)[0]
+    cached = (ops.product(t, t), ops.coproduct(t), ops.antipode_basis(t), kappa(2))
+    before = [dict(v.terms) for v in cached]
+    for value in cached:
+        plain = LinComb if isinstance(value, LinComb) else TensorElem
+        for c in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(c) is plain and c.ring is value.ring and c == value
+            accumulate(c, value, 1)
+            assert c == value.scale(2)
+    again = (ops.product(t, t), ops.coproduct(t), ops.antipode_basis(t), kappa(2))
+    assert all(a is b for a, b in zip(again, cached))
+    assert [dict(v.terms) for v in again] == before
 
 
 def test_memo_per_ring_and_dropped_by_cache_clear():

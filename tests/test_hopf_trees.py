@@ -387,6 +387,15 @@ def test_pairings():
     g = OrderedForest([planar_ladder(2), PDOT])
     assert pairing_hf(f, f) == 1
     assert pairing_hf(f, g) == 0
+    # the values are integers, so the duality suite runs over ZZ
+    values = (
+        pairing_kt_hk(CHERRY, CHERRY),
+        pairing_kt_hk(L3, CHERRY),
+        pairing_hk(u, u),
+        pairing_kp_hf(t, t),
+        pairing_hf(f, g),
+    )
+    assert all(type(v) is int for v in values)
 
 
 def test_pairing_bilinear_on_two_terms():

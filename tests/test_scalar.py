@@ -14,6 +14,7 @@ from hopftrees.scalar import (
     QP,
     QQ,
     ZERO_POLY,
+    ZZ,
     binom_of,
     binom_poly,
     poly_eval,
@@ -125,6 +126,23 @@ def test_poly_copies_and_pickles():
     q = binom_poly(3)
     for r in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
         assert r == q and r.coeffs == q.coeffs
+
+
+def test_integer_ring_coercion():
+    for x in (Fraction(4, 2), 2):
+        assert ZZ.coerce(x) == 2 and type(ZZ.coerce(x)) is int
+    assert ZZ.coerce(Fraction(-6, 3)) == -2
+    # a non-integral constant is an error, never rounded
+    for bad in (Fraction(1, 2), Poly((2,)), P, 2.0, "2"):
+        with pytest.raises(TypeError):
+            ZZ.coerce(bad)
+    assert ZZ.zero == 0 and ZZ.one == 1 and ZZ.render(-3) == "-3"
+
+
+def test_rings_keep_their_identity_through_copy_and_pickle():
+    for ring in (ZZ, QQ, QP):
+        assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
+        assert pickle.loads(pickle.dumps(ring)) is ring
 
 
 def test_poly_compose_affine():
