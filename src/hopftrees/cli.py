@@ -315,7 +315,12 @@ class _Parser:
     def _at_monomial(self) -> bool:
         ch = self.peek()
         if ch == "1":
-            return True
+            # the unit monomial, unless the 1 starts a coefficient (10, 1/2, 1*)
+            i = self.pos + 1
+            while i < len(self.text) and self.text[i].isspace():
+                i += 1
+            nxt = self.text[i : i + 1]
+            return not nxt.isdigit() and nxt not in ("/", "*")
         if ch == "(":
             # tree literal iff the parenthesis directly holds brackets
             nxt = self.text[self.pos + 1 : self.pos + 2]
@@ -414,7 +419,7 @@ def _render_coeff(c, ring) -> tuple[bool, str]:
     """(negated, body) where body has no leading sign and parses as a coeff."""
     if not isinstance(c, Poly):
         return c < 0, str(abs(c))
-    nonzero = [x for x in c.coeffs if x != 0]
+    nonzero = [x for x in c.num if x]
     if len(nonzero) == 1:
         neg = nonzero[0] < 0
         body = ring.render(-c if neg else c)

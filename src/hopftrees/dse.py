@@ -1,10 +1,11 @@
 """Explicit solutions of the combinatorial Dyson-Schwinger equation
 X = 1 + B_+(X^p), with p a formal indeterminate.
 
-The equation is solved both in the planar algebra H_F (where the recursion
-lives naturally) and, by forgetting planarity, in H_K.  The homogeneous
-parts carry polynomial coefficients in p; rational specializations are a
-post-pass through polynomial evaluation.
+The equation is solved in the planar algebra H_F and in H_K, each by the
+same fixed-point recursion in its own forest algebra, and independently by
+closed forms summing over trees.  The homogeneous parts carry polynomial
+coefficients in p; rational specializations are a post-pass through
+polynomial evaluation.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from math import factorial
 
 from .freemodule import LinComb, Report, TensorElem, accumulate
 from .hopf_trees import (
+    bplus,
     bplus_ordered,
     ck_ops,
     hf_ops,
 )
-from .morphisms import rho
 from .scalar import ONE_POLY, Poly, QQ, QP, binom_of, binom_poly, poly_eval
 from .special import multinomial
 from .symfun import compositions_of_length, partitions_of
@@ -29,13 +30,11 @@ from .trees import (
     EMPTY_ORDERED,
     Forest,
     OrderedForest,
-    PlanarTree,
     RootedTree,
     embedding_count,
     enumerate_planar,
     enumerate_rooted,
     ladder,
-    planar_ladder,
     sym_order,
 )
 
@@ -79,43 +78,47 @@ def _binom_product(counts: tuple) -> Poly:
     return acc
 
 
-def _singleton(tree: PlanarTree) -> LinComb:
-    return LinComb.term(QP, OrderedForest((tree,)))
+def _fixed_point(ops, forest, graft, max_degree: int) -> dict:
+    """Degree-by-degree fixed-point recursion in one forest algebra.
 
-
-def _bplus_lc(x: LinComb) -> LinComb:
-    return x.apply_linear(lambda f: OrderedForest((bplus_ordered(f),)))
-
-
-def solve_recursive(max_degree: int) -> DSESolution:
-    """Degree-by-degree fixed-point recursion.
-
-    The first planar term is the single vertex; the part of degree n+1 is
-    the sum over 1 <= k <= n of binom(p, k) applied to the root-grafting of
-    Y_k[n], the sum of all ordered length-k products of lower parts with
-    total degree n.  Y_k is the k-th convolution power of X = sum X_n:
-    Y_1[n] = X_n and Y_k[n] = sum_j Y_{k-1}[n-j] X_j, so each Y_k[n] is one
-    product per last part, built from powers kept from lower degrees.
+    The first term is the single vertex; the part of degree n+1 is the sum
+    over 1 <= k <= n of binom(p, k) applied to the root-grafting of Y_k[n],
+    the sum of all length-k products of lower parts with total degree n.
+    Y_k is the k-th convolution power of X = sum X_n: Y_1[n] = X_n and
+    Y_k[n] = sum_j Y_{k-1}[n-j] X_j, so each Y_k[n] is one product per last
+    part, built from powers kept from lower degrees.
     """
-    hf = hf_ops(QP)
-    sol = DSESolution(max_degree)
-    x = sol.hf_terms
+
+    def grafted(f):
+        return forest((graft(f),))
+
+    x = {}
     if max_degree >= 1:
-        x[1] = _singleton(planar_ladder(1))
+        x[1] = LinComb.term(QP, grafted(forest()))
     powers = {}  # (k, n) -> Y_k[n]
     for n in range(1, max_degree):
         powers[1, n] = x[n]
         for k in range(2, n + 1):
             y = LinComb.zero(QP)
             for j in range(1, n - k + 2):
-                accumulate(y, hf.product_lc(powers[k - 1, n - j], x[j]), QP.one)
+                accumulate(y, ops.product_lc(powers[k - 1, n - j], x[j]), QP.one)
             powers[k, n] = y
         acc = LinComb.zero(QP)
         for k in range(1, n + 1):
-            accumulate(acc, _bplus_lc(powers[k, n]), binom_poly(k))
+            accumulate(acc, powers[k, n].apply_linear(grafted), binom_poly(k))
         x[n + 1] = acc
-    for n in range(1, max_degree + 1):
-        sol.hk_terms[n] = rho(sol.hf_terms[n])
+    return x
+
+
+def solve_recursive(max_degree: int) -> DSESolution:
+    """The fixed-point recursion run in H_F with ordered products and planar
+    grafting, and again in H_K with commutative products and B+.  rho is a
+    Hopf map that commutes with B+, so rho of the H_F part solves the same
+    equation in H_K and equals the H_K part; computing that part directly
+    needs only the rooted trees, not the Catalan-many planar ones."""
+    sol = DSESolution(max_degree)
+    sol.hf_terms = _fixed_point(hf_ops(QP), OrderedForest, bplus_ordered, max_degree)
+    sol.hk_terms = _fixed_point(ck_ops(QP), Forest, bplus, max_degree)
     return sol
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Union
 
 Rational = Fraction
@@ -40,26 +40,24 @@ def _as_integer(x) -> int:
 class Poly:
     """Polynomial in the indeterminate p with rational coefficients.
 
-    coeffs[i] is the coefficient of p**i; the tuple carries no trailing
-    zeros, so the zero polynomial has an empty tuple.  Values are immutable
-    (rebinding coeffs raises) and hashable, so caches may share them, and
-    they mix freely with int and Fraction in arithmetic.
+    The value is sum(num[i] * p**i) / den: integer numerators over one common
+    denominator, as FLINT's fmpq_poly stores them.  num has no trailing zero,
+    den is positive and shares no factor with all of num, and the zero
+    polynomial is num == (), den == 1; so each value has exactly one
+    representation, and arithmetic adds and convolves plain ints and reduces
+    once per result.  Values are immutable (rebinding num or den raises) and
+    hashable, so caches may share them, and they mix freely with int and
+    Fraction in arithmetic.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _normalised(cls, coeffs: tuple) -> "Poly":
-        """Wrap a tuple of Fractions that already has no trailing zero."""
-        q = object.__new__(cls)
-        object.__setattr__(q, "coeffs", coeffs)
-        return q
+        den = lcm(*(c.denominator for c in cs))
+        num, den = _reduce([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly values are immutable")
@@ -68,7 +66,7 @@ class Poly:
         raise AttributeError("Poly values are immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting the slot
+        # copy and pickle rebuild through __init__, not by setting the slots
         return (Poly, (self.coeffs,))
 
     @classmethod
@@ -76,41 +74,58 @@ class Poly:
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple:
+        """coeffs[i] is the coefficient of p**i, as a Fraction; no trailing zero."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.num, self.den))
 
     def __add__(self, other) -> "Poly":
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        den = da
+        if da != db:
+            den = lcm(da, db)
+            ma, mb = den // da, den // db
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "Poly":
         other = _promote(other)
@@ -128,25 +143,26 @@ class Poly:
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if b == (1,):
+        a, b = self.num, other.num
+        if b == (1,) and other.den == 1:
             return self
-        if a == (1,):
+        if a == (1,) and self.den == 1:
             return other
-        # Over Q a product of nonzero leading coefficients is nonzero, so no
-        # product below has a trailing zero.
-        if len(a) == 1:
-            return Poly._normalised(tuple(a[0] * x for x in b))
-        if len(b) == 1:
-            return Poly._normalised(tuple(x * b[0] for x in a))
         if not a or not b:
             return ZERO_POLY
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly._normalised(tuple(out))
+        if len(a) == 1:
+            ca = a[0]
+            out = [ca * x for x in b]
+        elif len(b) == 1:
+            cb = b[0]
+            out = [x * cb for x in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b, i):
+                        out[j] += ca * cb
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -159,19 +175,24 @@ class Poly:
         return out
 
     def eval_at(self, v) -> Fraction:
-        """Substitute the rational v for p (Horner)."""
+        """Substitute the rational v for p: integer Horner on the numerators
+        scaled by powers of v's denominator, one division at the end."""
+        if not self.num:
+            return Fraction(0)
         v = _as_fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        vn, vd = v.numerator, v.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * vn + c * scale
+            scale *= vd
+        return Fraction(acc, self.den * (scale // vd))
 
     def compose(self, inner: "Poly") -> "Poly":
         """Substitute the polynomial ``inner`` for p."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
+        acc = ZERO_POLY
+        for c in reversed(self.num):
+            acc = acc * inner + c
+        return acc * Fraction(1, self.den)
 
     def __str__(self) -> str:
         return poly_str(self)
@@ -180,33 +201,67 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
+def _reduce(num: list, den: int) -> tuple:
+    """(num, den) in canonical form: trailing zeros cut, common factor divided out."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+def _raw(num: tuple, den: int) -> Poly:
+    """Wrap numerators and a denominator that are already canonical."""
+    q = object.__new__(Poly)
+    object.__setattr__(q, "num", num)
+    object.__setattr__(q, "den", den)
+    return q
+
+
+def _make(num: list, den: int) -> Poly:
+    return _raw(*_reduce(num, den))
+
+
 def _promote(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Poly((x,))
+    if isinstance(x, int):
+        return _raw((int(x),), 1) if x else ZERO_POLY
+    if isinstance(x, Fraction):
+        return _raw((x.numerator,), x.denominator) if x else ZERO_POLY
     return NotImplemented
 
 
-ZERO_POLY = Poly()
-ONE_POLY = Poly((1,))
-P = Poly((0, 1))
+ZERO_POLY = _raw((), 1)
+ONE_POLY = _raw((1,), 1)
+P = _raw((0, 1), 1)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms as Fraction prints it: "n" when d divides n."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def poly_str(q: Poly) -> str:
     """Render "c0 + c1*p + c2*p^2" with zero terms omitted, unit coefficients bare."""
-    if not q.coeffs:
+    if not q.num:
         return "0"
+    den = q.den
     pieces = []
-    for i, c in enumerate(q.coeffs):
-        if c == 0:
+    for i, c in enumerate(q.num):
+        if not c:
             continue
-        mag = abs(c)
         if i == 0:
-            body = str(mag)
+            body = _ratio_str(abs(c), den)
         else:
             var = "p" if i == 1 else f"p^{i}"
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = var if abs(c) == den else f"{_ratio_str(abs(c), den)}*{var}"
         pieces.append((c < 0, body))
     return signed_join(pieces)
 
@@ -260,9 +315,10 @@ class Ring:
 
 
 def _coerce_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly((_as_fraction(x),))
+    q = _promote(x)
+    if q is NotImplemented:
+        raise TypeError(f"cannot coerce {x!r} into a rational")
+    return q
 
 
 ZZ = Ring("Z", 0, 1, _as_integer, str)

@@ -269,35 +269,66 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
-def enumerate_planar(n: int) -> tuple:
-    """All planar trees with n non-root vertices, in lexicographic BBA order."""
+def _check_weight(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > degree_ceiling():
         raise ResourceLimitError(
             f"planar enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
         )
-    strings = []
 
-    def grow(prefix, opened, closed):
-        if len(prefix) == 2 * n:
-            strings.append(prefix)
+
+@lru_cache(maxsize=None)
+def enumerate_planar(n: int) -> tuple:
+    """All planar trees with n non-root vertices, in lexicographic BBA order.
+
+    A root over each ordered sequence of smaller planar trees whose sizes
+    sum to n.  The generation order is not BBA order (``<<><<>>>`` sorts
+    after ``<<<>>>...``), so the result is sorted.
+    """
+    _check_weight(n)
+    out = []
+
+    def grow(remaining, kids):
+        if not remaining:
+            out.append(PlanarTree(kids))
             return
-        if opened < n:
-            grow(prefix + "<", opened + 1, closed)
-        if closed < opened:
-            grow(prefix + ">", opened, closed + 1)
+        for size in range(1, remaining + 1):
+            for t in enumerate_planar(size - 1):
+                grow(remaining - size, kids + (t,))
 
-    grow("", 0, 0)
-    return tuple(bba_decode(s) for s in strings)
+    grow(n, ())
+    out.sort(key=lambda t: t.bba)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def enumerate_rooted(n: int) -> tuple:
-    """All canonical rooted trees with n+1 vertices, sorted canonically."""
-    seen = {canonicalize(T) for T in enumerate_planar(n)}
-    return tuple(sorted(seen, key=lambda t: t.key))
+    """All canonical rooted trees with n+1 vertices, sorted canonically.
+
+    A root over each multiset of smaller rooted trees whose sizes sum to n:
+    the children are chosen in nonincreasing (size, index) order over the
+    smaller trees, so each multiset is built exactly once.
+    """
+    _check_weight(n)
+    pool = [t for m in range(n) for t in enumerate_rooted(m)]
+    # last[r]: index of the last pool tree with at most r vertices
+    last = [-1] * (n + 1)
+    for i, t in enumerate(pool):
+        last[t.size] = i
+    out = []
+
+    def grow(remaining, hi, kids):
+        if not remaining:
+            out.append(RootedTree(kids))
+            return
+        for i in range(min(hi, last[remaining]), -1, -1):
+            t = pool[i]
+            grow(remaining - t.size, i, kids + (t,))
+
+    grow(n, len(pool) - 1, ())
+    out.sort(key=lambda t: t.key)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -75,6 +75,25 @@ def test_parse_units_and_scalars():
     assert parse_expr("-2", "ck").value == LinComb.term(QQ, Forest(), -2)
 
 
+def test_coefficients_starting_with_one(capsys):
+    dot, unit = Forest([DOT]), Forest()
+    cases = {
+        "10*(<>)": {Forest([ladder(2)]): 10},
+        "1/2*(<>)": {Forest([ladder(2)]): Fraction(1, 2)},
+        "1*(<>)": {Forest([ladder(2)]): 1},
+        "1 * (<>)": {Forest([ladder(2)]): 1},
+        "2*(<>) + 12": {Forest([ladder(2)]): 2, unit: 12},
+        "1": {unit: 1},
+        "(<>) + 1": {Forest([ladder(2)]): 1, unit: 1},
+        "()": {dot: 1},
+    }
+    for text, terms in cases.items():
+        assert parse_expr(text, "ck").value == LinComb(QQ, terms), text
+    for text in ("10*(<>)", "1/2*(<>)", "1*(<>)", "2*(<>) + 12"):
+        assert run(["op", "--algebra", "ck", "--kind", "antipode", "--expr", text]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "10*()() - 10*(<>)"
+
+
 @pytest.mark.parametrize(
     "algebra,text",
     [

@@ -7,6 +7,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from hopftrees.cli import parse_expr
 from hopftrees.scalar import (
     ONE_POLY,
     P,
@@ -19,7 +20,9 @@ from hopftrees.scalar import (
     binom_poly,
     poly_eval,
     poly_str,
+    signed_join,
 )
+from hopftrees.trees import Forest
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -150,6 +153,84 @@ def test_poly_compose_affine():
     k = 3
     affine = Poly((1 - k, k))
     assert binom_poly(2).compose(affine) == binom_of(affine, 2)
+
+
+def _assert_canonical(q):
+    assert q.den > 0
+    assert gcd(q.den, *q.num) == 1
+    assert not q.num or q.num[-1] != 0
+    assert q.num or q.den == 1
+    assert all(type(c) is int for c in q.num) and type(q.den) is int
+
+
+@given(polys, operands)
+def test_poly_results_are_canonical(q, other):
+    for r in (q * other, other * q, q + other, other + q, q - other, other - q, -q):
+        _assert_canonical(r)
+        again = Poly(r.coeffs)
+        assert (again.num, again.den, hash(again)) == (r.num, r.den, hash(r))
+
+
+@given(polys, small_rationals)
+def test_poly_eval_and_render_match_fraction_coefficients(q, v):
+    # references computed from the Fraction coefficients, term by term
+    cs = q.coeffs
+    assert q.eval_at(v) == sum((c * v**i for i, c in enumerate(cs)), Fraction(0))
+    pieces = []
+    for i, c in enumerate(cs):
+        if c:
+            var = "p" if i == 1 else f"p^{i}"
+            mag = abs(c)
+            body = str(mag) if i == 0 else var if mag == 1 else f"{mag}*{var}"
+            pieces.append((c < 0, body))
+    assert poly_str(q) == (signed_join(pieces) if pieces else "0")
+
+
+def test_equal_polys_built_by_different_routes_are_identical():
+    half_p2 = [
+        Poly((0, 0, Fraction(1, 2))),
+        P * P * Fraction(1, 2),
+        P * Fraction(1, 4) * P * 2,
+        (P * P + P * P) * Fraction(1, 4),
+        P * P - Poly((0, 0, Fraction(1, 2))),
+        binom_poly(2) + P * Fraction(1, 2),
+        parse_expr("1/2*p^2", "ck", "poly").value.coeff(Forest()),
+        parse_expr("(p^2 - 1/2*p^2)*1", "ck", "poly").value.coeff(Forest()),
+    ]
+    units = [
+        ONE_POLY,
+        Poly((Fraction(1, 2),)) * 2,
+        Poly((Fraction(3, 3),)),
+        Poly((1, 0, 0)),
+        P - P + 1,
+        binom_poly(0),
+        -(-ONE_POLY),
+        parse_expr("1", "ck", "poly").value.coeff(Forest()),
+    ]
+    zeros = [ZERO_POLY, Poly(), Poly((0, Fraction(0))), P - P, P * 0, binom_poly(2) * 0]
+    for family in (half_p2, units, zeros):
+        for q in family:
+            _assert_canonical(q)
+            assert (q.num, q.den, hash(q)) == (
+                family[0].num,
+                family[0].den,
+                hash(family[0]),
+            )
+            assert q == family[0]
+    assert (units[1].num, units[1].den) == ((1,), 1)
+    assert (half_p2[0].num, half_p2[0].den) == ((0, 0, 1), 2)
+    assert (ZERO_POLY.num, ZERO_POLY.den) == ((), 1)
+    assert (binom_poly(3).num, binom_poly(3).den) == ((0, 2, -3, 1), 6)
+
+
+def test_poly_numerators_and_denominator_are_read_only():
+    q = binom_poly(2)
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, getattr(q, name))
+        with pytest.raises(AttributeError):
+            delattr(q, name)
+    assert (q.num, q.den) == ((0, -1, 1), 2)
 
 
 def test_poly_zero_normalization_and_hash():

@@ -85,10 +85,30 @@ def test_sym_order_examples():
     assert sym_order(ladder(5)) == 1
 
 
+def _bba_strings(n):
+    """Every balanced bracket arrangement of weight n, in lexicographic order,
+    grown as strings: an oracle independent of enumerate_planar's trees."""
+    out = []
+
+    def grow(prefix, opened, closed):
+        if len(prefix) == 2 * n:
+            out.append(prefix)
+            return
+        if opened < n:
+            grow(prefix + "<", opened + 1, closed)
+        if closed < opened:
+            grow(prefix + ">", opened, closed + 1)
+
+    grow("", 0, 0)
+    return out
+
+
 def test_enumerate_planar_counts_and_order():
-    for n in range(9):
+    for n in range(10):
         trees = enumerate_planar(n)
         assert len(trees) == catalan(n)
+        assert len(set(trees)) == len(trees)
+        assert trees == tuple(bba_decode(s) for s in _bba_strings(n))
         strings = [t.bba for t in trees]
         assert strings == sorted(strings)
     assert len(enumerate_planar(3)) == 5
@@ -100,6 +120,14 @@ def test_enumerate_rooted_counts_against_recurrence():
     for n, want in enumerate(expected):
         assert len(enumerate_rooted(n)) == want
         assert rooted_count_recurrence(n + 1) == want
+    # canonicalise and dedupe every planar tree: an oracle independent of
+    # the multiset construction
+    for n in range(10):
+        seen = {canonicalize(T) for T in enumerate_planar(n)}
+        assert enumerate_rooted(n) == tuple(sorted(seen, key=lambda t: t.key))
+    for n in range(11):
+        trees = enumerate_rooted(n)
+        assert len(trees) == len(set(trees)) == rooted_count_recurrence(n + 1)
 
 
 def test_enumerate_rooted_degree_two():
@@ -156,8 +184,15 @@ def test_forest_ordering_and_units():
 
 
 def test_resource_limit():
-    with pytest.raises(ResourceLimitError):
-        enumerate_planar(degree_ceiling() + 1)
+    n = degree_ceiling() + 1
+    for enumerate_trees in (enumerate_planar, enumerate_rooted):
+        with pytest.raises(ResourceLimitError) as err:
+            enumerate_trees(n)
+        assert str(err.value) == (
+            f"planar enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
+        )
+        with pytest.raises(ValueError):
+            enumerate_trees(-1)
 
 
 def test_ceiling_env_override(monkeypatch):
