@@ -24,6 +24,49 @@ def _check_ring(a, b):
         raise RingMismatchError(f"mixed scalar rings {a.ring.name} and {b.ring.name}")
 
 
+class Interned:
+    """Hash-consed basis element: each value is built once per process.
+
+    A subclass lists its attributes in ``__slots__``, the first being the
+    canonical content (a tuple of interned values or of ints), and gives
+    ``_canonical(items)``, which computes that content from the constructor
+    argument, and ``_fields(content)``, which computes every slot value in
+    order, validating first.  Construction returns the stored instance for
+    the content, building and storing it on first use; a rejected value is
+    never stored.  So equal values are the same object, and ``==`` and
+    ``hash`` are object identity.  Values are immutable, and copy and
+    pickle rebuild them through the constructor.  The tables hold their
+    values for the life of the process.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+        # the slot descriptors' setters write past __setattr__
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __new__(cls, items=()):
+        content = cls._canonical(items)
+        obj = cls._table.get(content)
+        if obj is None:
+            obj = object.__new__(cls)
+            for set_slot, value in zip(cls._setters, cls._fields(content)):
+                set_slot(obj, value)
+            cls._table[content] = obj
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        return (type(self), (getattr(self, self.__slots__[0]),))
+
+
 class LinComb:
     """Finite linear combination of basis elements with nonzero coefficients."""
 
@@ -307,18 +350,11 @@ class _CachedTensorElem(_ReadOnly, TensorElem):
 
 def freeze(x, table=None):
     """A read-only copy of the LinComb or TensorElem x, for a memo to hand
-    out.  With a table, its basis elements and coefficients are the ones
-    interned there."""
+    out.  With a table, its coefficients are the ones interned there; basis
+    elements are interned on construction (see Interned)."""
     intern = ({} if table is None else table).setdefault
-    if isinstance(x, TensorElem):
-        cls = _CachedTensorElem
-        terms = {
-            (intern(a, a), intern(b, b)): intern(c, c)
-            for (a, b), c in x.terms.items()
-        }
-    else:
-        cls = _CachedLinComb
-        terms = {intern(b, b): intern(c, c) for b, c in x.terms.items()}
+    cls = _CachedTensorElem if isinstance(x, TensorElem) else _CachedLinComb
+    terms = {b: intern(c, c) for b, c in x.terms.items()}
     out = object.__new__(cls)
     object.__setattr__(out, "ring", x.ring)
     object.__setattr__(out, "terms", MappingProxyType(terms))
@@ -350,9 +386,10 @@ class HopfOps:
 
     The product (unless it is a MonomialProduct), the coproduct and the
     antipode on basis elements are memoised on the instance, keyed on the
-    basis elements.  Cached values are read-only, and their basis elements
-    and coefficients are interned in one table, so each distinct value is
-    stored once.  The memo lives as long as the instance.
+    basis elements.  Cached values are read-only, and their coefficients are
+    interned in one table, so each distinct coefficient is stored once;
+    basis elements are unique already (see Interned).  The memo lives as
+    long as the instance.
     """
 
     name: str

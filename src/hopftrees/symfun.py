@@ -13,21 +13,28 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import HopfOps, LinComb, Report, TensorElem, accumulate, freeze
+from .freemodule import (
+    HopfOps,
+    Interned,
+    LinComb,
+    Report,
+    TensorElem,
+    accumulate,
+    freeze,
+)
 from .scalar import QQ
 
 
-class Partition:
-    """Weakly decreasing sequence of positive integers (possibly empty)."""
+class _Parts(Interned):
+    """A finite sequence of positive integers, interned on its parts."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        ps = tuple(sorted((int(x) for x in parts), reverse=True))
-        if any(x < 1 for x in ps):
-            raise ValueError("partition parts must be positive")
-        self.parts = ps
-        self._hash = hash(("Par", ps))
+    @classmethod
+    def _fields(cls, parts):
+        if any(x < 1 for x in parts):
+            raise ValueError(f"{cls.__name__.lower()} parts must be positive")
+        return (parts,)
 
     @property
     def weight(self) -> int:
@@ -40,6 +47,19 @@ class Partition:
     @property
     def sort_key(self):
         return (self.weight, self.parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.parts!r}"
+
+
+class Partition(_Parts):
+    """Weakly decreasing sequence of positive integers (possibly empty)."""
+
+    __slots__ = ("parts",)
+
+    @staticmethod
+    def _canonical(parts):
+        return tuple(sorted(map(int, parts), reverse=True))
 
     def multiplicities(self) -> dict:
         out: dict[int, int] = {}
@@ -63,39 +83,15 @@ class Partition:
     def union(self, other: "Partition") -> "Partition":
         return Partition(self.parts + other.parts)
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
 
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Partition{self.parts!r}"
-
-
-class Composition:
+class Composition(_Parts):
     """Finite sequence of positive integers (possibly empty)."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts",)
 
-    def __init__(self, parts=()):
-        ps = tuple(int(x) for x in parts)
-        if any(x < 1 for x in ps):
-            raise ValueError("composition parts must be positive")
-        self.parts = ps
-        self._hash = hash(("Cmp", ps))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def sort_key(self):
-        return (self.weight, self.parts)
+    @staticmethod
+    def _canonical(parts):
+        return tuple(map(int, parts))
 
     def reverse(self) -> "Composition":
         return Composition(self.parts[::-1])
@@ -103,15 +99,6 @@ class Composition:
     def partition(self) -> Partition:
         """Forget the order of the parts."""
         return Partition(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Composition{self.parts!r}"
 
 
 EMPTY_PARTITION = Partition()

@@ -8,6 +8,9 @@ Conventions used throughout the package:
 * Rooted trees are stored in a canonical form: the children of every vertex
   are sorted by (vertex count, then recursively by the sorted child keys),
   so structural equality coincides with tree isomorphism.
+* Trees and forests are interned (see freemodule.Interned): each is built
+  once, keyed on its tuple of children or trees, so equal values are the
+  same object and compare and hash by identity.
 * Forests are graded by total vertex count.
 """
 
@@ -17,6 +20,9 @@ import itertools
 import os
 from functools import lru_cache
 from math import comb, factorial
+from operator import attrgetter
+
+from .freemodule import Interned
 
 DEFAULT_MAX_DEGREE = 10
 CUT_VERTEX_CAP = 8
@@ -51,70 +57,68 @@ class ResourceLimitError(RuntimeError):
     """Requested enumeration or cut expansion exceeds the configured bound."""
 
 
-class PlanarTree:
+_KEY = attrgetter("key")
+_SIZE = attrgetter("size")
+_BBA = attrgetter("bba")
+
+
+def _by_key(items) -> tuple:
+    """The trees in canonical (``key``) order."""
+    return tuple(sorted(items, key=_KEY))
+
+
+def _forest_fields(ts) -> tuple:
+    """A forest's trees and its weight."""
+    return ts, sum(map(_SIZE, ts))
+
+
+class PlanarTree(Interned):
     """Planar rooted tree: an ordered sequence of planar subtrees under a root.
 
-    Equality and hashing are by the BBA string, which determines the tree.
+    Interned on its child tuple; ``bba`` is its bracket string.
     """
 
-    __slots__ = ("children", "size", "bba", "_hash")
+    __slots__ = ("children", "size", "bba")
+    _canonical = tuple
 
-    def __init__(self, children=()):
-        self.children = tuple(children)
-        self.size = 1 + sum(c.size for c in self.children)
-        self.bba = "".join("<" + c.bba + ">" for c in self.children)
-        self._hash = hash(("P", self.bba))
+    @staticmethod
+    def _fields(kids):
+        bba = "<" + "><".join(map(_BBA, kids)) + ">" if kids else ""
+        return kids, 1 + sum(map(_SIZE, kids)), bba
 
     @property
     def sort_key(self):
         return (self.size, self.bba)
 
-    def __eq__(self, other):
-        return isinstance(other, PlanarTree) and self.bba == other.bba
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"PlanarTree({self.bba!r})"
 
 
-class RootedTree:
+class RootedTree(Interned):
     """Rooted tree in canonical form; children are sorted on construction."""
 
-    __slots__ = ("children", "size", "key", "_hash")
+    __slots__ = ("children", "size", "key")
+    _canonical = staticmethod(_by_key)
 
-    def __init__(self, children=()):
-        kids = sorted(children, key=lambda c: c.key)
-        self.children = tuple(kids)
-        self.size = 1 + sum(c.size for c in kids)
-        self.key = (self.size, tuple(c.key for c in kids))
-        self._hash = hash(("R", self.key))
+    @staticmethod
+    def _fields(kids):
+        size = 1 + sum(map(_SIZE, kids))
+        return kids, size, (size, tuple(map(_KEY, kids)))
 
     @property
     def sort_key(self):
         return self.key
 
-    def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"RootedTree({to_planar(self).bba!r})"
 
 
-class Forest:
+class Forest(Interned):
     """Commutative monomial of rooted trees, stored as a canonically sorted tuple."""
 
-    __slots__ = ("trees", "weight", "_hash")
-
-    def __init__(self, trees=()):
-        ts = sorted(trees, key=lambda t: t.key)
-        self.trees = tuple(ts)
-        self.weight = sum(t.size for t in ts)
-        self._hash = hash(("F", tuple(t.key for t in ts)))
+    __slots__ = ("trees", "weight")
+    _canonical = staticmethod(_by_key)
+    _fields = staticmethod(_forest_fields)
 
     @property
     def sort_key(self):
@@ -127,25 +131,16 @@ class Forest:
         """A commutative monomial is its own reversal."""
         return self
 
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.trees == other.trees
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"Forest({[to_planar(t).bba for t in self.trees]!r})"
 
 
-class OrderedForest:
+class OrderedForest(Interned):
     """Ordered sequence of planar rooted trees; the H_F monomial basis."""
 
-    __slots__ = ("trees", "weight", "_hash")
-
-    def __init__(self, trees=()):
-        self.trees = tuple(trees)
-        self.weight = sum(t.size for t in self.trees)
-        self._hash = hash(("OF", tuple(t.bba for t in self.trees)))
+    __slots__ = ("trees", "weight")
+    _canonical = tuple
+    _fields = staticmethod(_forest_fields)
 
     @property
     def sort_key(self):
@@ -156,12 +151,6 @@ class OrderedForest:
 
     def reverse(self) -> "OrderedForest":
         return OrderedForest(self.trees[::-1])
-
-    def __eq__(self, other):
-        return isinstance(other, OrderedForest) and self.trees == other.trees
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"OrderedForest({[t.bba for t in self.trees]!r})"
@@ -269,12 +258,14 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _check_weight(n: int) -> None:
+def _check_weight(n: int, kind: str) -> None:
+    """Refuse a ``kind`` ("planar" or "rooted") enumeration at weight n
+    above the degree ceiling."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > degree_ceiling():
         raise ResourceLimitError(
-            f"planar enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
+            f"{kind} enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
         )
 
 
@@ -286,7 +277,7 @@ def enumerate_planar(n: int) -> tuple:
     sum to n.  The generation order is not BBA order (``<<><<>>>`` sorts
     after ``<<<>>>...``), so the result is sorted.
     """
-    _check_weight(n)
+    _check_weight(n, "planar")
     out = []
 
     def grow(remaining, kids):
@@ -310,7 +301,7 @@ def enumerate_rooted(n: int) -> tuple:
     the children are chosen in nonincreasing (size, index) order over the
     smaller trees, so each multiset is built exactly once.
     """
-    _check_weight(n)
+    _check_weight(n, "rooted")
     pool = [t for m in range(n) for t in enumerate_rooted(m)]
     # last[r]: index of the last pool tree with at most r vertices
     last = [-1] * (n + 1)

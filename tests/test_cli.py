@@ -249,16 +249,37 @@ def test_cli_special_check(capsys):
     assert capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["check", "--suite", "all", "--max-degree", "3"], "check_all_d3.txt"),
-        (["dse", "--max-degree", "5", "--check-coproduct"], "dse_d5_coproduct.txt"),
-    ],
-)
+GOLDEN_TRANSCRIPTS = [
+    (["check", "--suite", "all", "--max-degree", "3"], "check_all_d3.txt"),
+    (["dse", "--max-degree", "5", "--check-coproduct"], "dse_d5_coproduct.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_TRANSCRIPTS)
 def test_golden_transcripts(capsys, argv, golden):
     assert run(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_TRANSCRIPTS)
+def test_output_independent_of_hash_seed(argv, golden):
+    """Basis elements hash by identity, so output that followed hash order
+    would move with the hash seed or the memory layout; each run is a fresh
+    interpreter."""
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "hopftrees", *argv],
+            capture_output=True,
+            check=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                "PYTHONHASHSEED": seed,
+            },
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1] == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_json_checked_matches_text_case_counts(capsys):

@@ -272,6 +272,39 @@ def test_check_axioms_catches_one_wrong_coefficient(factory, corrupt):
     assert failed and all(e.witness for e in failed)
 
 
+@pytest.mark.parametrize(
+    "factory", [ck_ops, hf_ops, qsym_ops], ids=lambda f: f.__name__
+)
+def test_check_axioms_catches_one_wrong_antipode_coefficient(factory):
+    """1 added to one coefficient of the closed antipode of one degree-2
+    basis element y, in a fresh ZZ HopfOps."""
+    base = factory(ZZ)
+    y = base.basis(2)[0]
+    target = base.antipode(y).sorted_terms()[0][0]
+
+    def antipode(b):
+        out = base.antipode(b)
+        if b == y:
+            out = out + base.term(target)
+        return out
+
+    broken = HopfOps(
+        name=base.name,
+        ring=ZZ,
+        unit=base.unit,
+        degree=base.degree,
+        basis=base.basis,
+        product=base.product,
+        coproduct=base.coproduct,
+        antipode=antipode,
+    )
+    assert broken.antipode_basis(y) != base.antipode_basis(y)
+    failed = [e for e in check_axioms(broken, 3).entries if not e.ok]
+    assert [(e.law, e.witness) for e in failed] == [
+        ("antipode convolution laws", repr(y))
+    ]
+
+
 def test_memo_values_are_read_only():
     ops = kp_ops(QQ)
     t = ops.basis(3)[0]

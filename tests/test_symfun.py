@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from hopftrees.freemodule import LinComb, TensorElem, generic_antipode
@@ -56,6 +59,36 @@ def test_index_types():
         P([0])
     with pytest.raises(ValueError):
         C([1, -1])
+
+
+def test_equal_indices_are_one_object():
+    assert P((1, 2)) is P((2, 1)) is P([2, 1])
+    assert P((1, 2)) is next(p for p in partitions_of(3) if p.parts == (2, 1))
+    assert C([2, 1]).partition() is P((1, 2))
+    assert C((1, 2)) is C([1, 2]) is C((2, 1)).reverse()
+    assert C((1, 2)) is not C((2, 1))
+
+
+@pytest.mark.parametrize("value", [P((2, 1)), C((1, 2)), P(()), C(())])
+def test_indices_are_immutable_and_copy_to_themselves(value):
+    parts = value.parts
+    with pytest.raises(AttributeError):
+        value.parts = (3,)
+    with pytest.raises(AttributeError):
+        del value.parts
+    assert value.parts is parts
+    copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    assert all(c is value for c in copies)
+
+
+@pytest.mark.parametrize(
+    "cls, parts", [(P, [0]), (P, (2, -1)), (C, [1, 0]), (C, (-3,))]
+)
+def test_non_positive_parts_are_rejected_every_time(cls, parts):
+    # the second call raises too: a rejected value is never stored
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"{cls.__name__.lower()} parts must"):
+            cls(parts)
 
 
 def test_partition_composition_enumeration():

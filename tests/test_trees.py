@@ -1,5 +1,9 @@
+import copy
+import pickle
+
 import pytest
 
+from hopftrees.hopf_trees import cuts_of
 from hopftrees.trees import (
     BBAParseError,
     DOT,
@@ -185,11 +189,14 @@ def test_forest_ordering_and_units():
 
 def test_resource_limit():
     n = degree_ceiling() + 1
-    for enumerate_trees in (enumerate_planar, enumerate_rooted):
+    for enumerate_trees, kind in (
+        (enumerate_planar, "planar"),
+        (enumerate_rooted, "rooted"),
+    ):
         with pytest.raises(ResourceLimitError) as err:
             enumerate_trees(n)
         assert str(err.value) == (
-            f"planar enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
+            f"{kind} enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
         )
         with pytest.raises(ValueError):
             enumerate_trees(-1)
@@ -200,3 +207,41 @@ def test_ceiling_env_override(monkeypatch):
     assert degree_ceiling() == 3
     monkeypatch.setenv("HOPFTREES_MAX_DEGREE", "junk")
     assert degree_ceiling() == 10
+
+
+def test_equal_trees_are_one_object():
+    # planar: decoded, enumerated and built by hand
+    T = bba_decode("<><<>>")
+    assert T is next(t for t in enumerate_planar(3) if t.bba == "<><<>>")
+    assert T is PlanarTree([PDOT, PlanarTree([PDOT])])
+    # rooted: canonicalised, enumerated and built with the children reordered
+    t = canonicalize(T)
+    assert t is next(u for u in enumerate_rooted(3) if u.key == t.key)
+    assert t is RootedTree([ladder(2), DOT]) is RootedTree([DOT, ladder(2)])
+    assert RootedTree([ladder(2), DOT]).children == (DOT, ladder(2))
+    # the root part of a cut is the tree built directly
+    cut = next(c for c in cuts_of(ladder(3)) if c.weight == 1 and c.fallen.weight == 1)
+    assert cut.root_part is ladder(2) and cut.fallen is Forest([DOT])
+    assert Forest([CHERRY, DOT]) is Forest([DOT, CHERRY])
+    assert OrderedForest([PDOT, T]) is OrderedForest((PDOT, T))
+    assert OrderedForest([PDOT, T]) is not OrderedForest([T, PDOT])
+
+
+@pytest.mark.parametrize(
+    "value, attr",
+    [
+        (bba_decode("<<>>"), "bba"),
+        (CHERRY, "children"),
+        (Forest([CHERRY]), "trees"),
+        (OrderedForest([PDOT]), "weight"),
+    ],
+)
+def test_trees_are_immutable_and_copy_to_themselves(value, attr):
+    before = getattr(value, attr)
+    with pytest.raises(AttributeError):
+        setattr(value, attr, before)
+    with pytest.raises(AttributeError):
+        delattr(value, attr)
+    assert getattr(value, attr) is before
+    copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    assert all(c is value for c in copies)
