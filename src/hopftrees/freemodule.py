@@ -88,12 +88,23 @@ class LinComb:
         self.terms = data
 
     @classmethod
+    def _of(cls, ring: Ring, terms: dict) -> "LinComb":
+        """Wrap terms as they are: a dict its caller built from nonzero
+        elements of ring only, so there is nothing to coerce or merge."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, ring: Ring) -> "LinComb":
-        return cls(ring)
+        return cls._of(ring, {})
 
     @classmethod
     def term(cls, ring: Ring, basis, coeff=None) -> "LinComb":
-        return cls(ring, {basis: ring.one if coeff is None else coeff})
+        if coeff is None:
+            return cls._of(ring, {basis: ring.one})
+        return cls(ring, {basis: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -110,29 +121,20 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         _check_ring(self, other)
         out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b, self.ring.zero) + c
-            if self.ring.is_zero(s):
-                out.pop(b, None)
-            else:
-                out[b] = s
-        res = LinComb(self.ring)
-        res.terms = out
-        return res
+        _add_into(out, other.terms, self.ring.one)
+        return LinComb._of(self.ring, out)
 
     def __neg__(self) -> "LinComb":
-        res = LinComb(self.ring)
-        res.terms = {b: -c for b, c in self.terms.items()}
-        return res
+        return LinComb._of(self.ring, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
         c = self.ring.coerce(c)
-        if self.ring.is_zero(c):
-            return LinComb(self.ring)
-        return LinComb(self.ring, {b: v * c for b, v in self.terms.items()})
+        if not c:
+            return LinComb.zero(self.ring)
+        return LinComb._of(self.ring, {b: v * c for b, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -161,11 +163,15 @@ class LinComb:
     def bilinear(self, f, other: "LinComb") -> "LinComb":
         """Sum of c1*c2*f(b1, b2) over all pairs of terms; f returns a LinComb."""
         _check_ring(self, other)
-        acc = LinComb.zero(self.ring)
+        ring = self.ring
+        out = {}
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
-                accumulate(acc, f(b1, b2), c1 * c2)
-        return acc
+                img = f(b1, b2)
+                if img.ring is not ring:
+                    _check_ring(self, img)
+                _add_into(out, img.terms, c1 * c2)
+        return LinComb._of(ring, out)
 
     def render(self, basis_str=repr) -> str:
         if not self.terms:
@@ -199,9 +205,11 @@ class TensorElem:
         self.ring = ring
         self.terms = data
 
+    _of = classmethod(LinComb._of.__func__)
+
     @classmethod
     def zero(cls, ring: Ring) -> "TensorElem":
-        return cls(ring)
+        return cls._of(ring, {})
 
     @classmethod
     def term(cls, ring: Ring, left, right, coeff=None) -> "TensorElem":
@@ -214,7 +222,7 @@ class TensorElem:
         for b1, c1 in a.terms.items():
             for b2, c2 in b.terms.items():
                 out[(b1, b2)] = c1 * c2
-        return cls(a.ring, out)
+        return cls._of(a.ring, out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -230,32 +238,25 @@ class TensorElem:
     def __add__(self, other: "TensorElem") -> "TensorElem":
         _check_ring(self, other)
         out = dict(self.terms)
-        for pair, c in other.terms.items():
-            s = out.get(pair, self.ring.zero) + c
-            if self.ring.is_zero(s):
-                out.pop(pair, None)
-            else:
-                out[pair] = s
-        res = TensorElem(self.ring)
-        res.terms = out
-        return res
+        _add_into(out, other.terms, self.ring.one)
+        return TensorElem._of(self.ring, out)
 
     def __neg__(self) -> "TensorElem":
-        res = TensorElem(self.ring)
-        res.terms = {pair: -c for pair, c in self.terms.items()}
-        return res
+        return TensorElem._of(self.ring, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "TensorElem":
         c = self.ring.coerce(c)
-        if self.ring.is_zero(c):
-            return TensorElem(self.ring)
-        return TensorElem(self.ring, {p: v * c for p, v in self.terms.items()})
+        if not c:
+            return TensorElem.zero(self.ring)
+        return TensorElem._of(self.ring, {p: v * c for p, v in self.terms.items()})
 
     def swap(self) -> "TensorElem":
-        return TensorElem(self.ring, {(b, a): c for (a, b), c in self.terms.items()})
+        return TensorElem._of(
+            self.ring, {(b, a): c for (a, b), c in self.terms.items()}
+        )
 
     def __eq__(self, other):
         return (
@@ -284,12 +285,15 @@ class TensorElem:
     def mul(self, other: "TensorElem", prod_left, prod_right) -> "TensorElem":
         """Componentwise product: (a x b)(a' x b') = (aa') x (bb')."""
         _check_ring(self, other)
-        acc = TensorElem.zero(self.ring)
+        ring = self.ring
+        out = {}
         for (a, b), c in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 pair = TensorElem.tensor(prod_left(a, a2), prod_right(b, b2))
-                accumulate(acc, pair, c * c2)
-        return acc
+                if pair.ring is not ring:
+                    _check_ring(self, pair)
+                _add_into(out, pair.terms, c * c2)
+        return TensorElem._of(ring, out)
 
     def render(self, basis_str=repr) -> str:
         if not self.terms:
@@ -304,22 +308,39 @@ class TensorElem:
 
 
 def accumulate(acc, x, c) -> None:
-    """Add c * x to acc in place: the one accumulation step of the module.
+    """Add c * x to acc in place, c coerced into their ring first.
 
     acc and x are both LinComb or both TensorElem over one ring.  acc must be
     a value its caller built, never a frozen one handed out by a memo, whose
     terms are read-only.
     """
     _check_ring(acc, x)
-    terms, ring = acc.terms, acc.ring
-    zero, is_zero = ring.zero, ring.is_zero
-    unscaled = c == ring.one
-    for b, v in x.terms.items():
-        s = terms.get(b, zero) + (v if unscaled else v * c)
-        if is_zero(s):
-            terms.pop(b, None)
-        else:
-            terms[b] = s
+    c = acc.ring.coerce(c)
+    if c:
+        # acc += c * acc must not read the dict it is deleting from
+        _add_into(acc.terms, dict(x.terms) if x is acc else x.terms, c)
+
+
+def _add_into(terms: dict, other, c) -> None:
+    """terms += c * other, in place: the one accumulation step of the module.
+
+    terms and other map keys to nonzero elements of one ring, and c is a
+    nonzero element of it.  The rings are integral domains, so c * v is
+    nonzero; a sum that cancels leaves the dict.  A ring element is false
+    exactly when it is zero.
+    """
+    get = terms.get
+    scaled = c != 1
+    for b, v in other.items():
+        if scaled:
+            v = v * c
+        s = get(b)
+        if s is not None:
+            v = s + v
+            if not v:
+                del terms[b]
+                continue
+        terms[b] = v
 
 
 class _ReadOnly:
@@ -372,7 +393,7 @@ class MonomialProduct:
         self.ring = ring
 
     def __call__(self, a, b) -> LinComb:
-        return LinComb.term(self.ring, a.mul(b))
+        return LinComb._of(self.ring, {a.mul(b): self.ring.one})
 
 
 @dataclass(eq=False)
@@ -405,9 +426,15 @@ class HopfOps:
 
     def __post_init__(self):
         product, coproduct = self.product, self.coproduct
+        # a hit is one dict lookup; cached values are objects, never false
+        hit = self._memo.get
         if not isinstance(product, MonomialProduct):
-            self.product = lambda a, b: self._cached(("product", a, b), product, a, b)
-        self.coproduct = lambda b: self._cached(("coproduct", b), coproduct, b)
+            self.product = lambda a, b: hit(("product", a, b)) or self._cached(
+                ("product", a, b), product, a, b
+            )
+        self.coproduct = lambda b: hit(("coproduct", b)) or self._cached(
+            ("coproduct", b), coproduct, b
+        )
 
     def _cached(self, key, compute, *args):
         """The memoised value of compute(*args) under key."""

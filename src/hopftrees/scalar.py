@@ -297,7 +297,7 @@ class Ring:
         return self._coerce(x)
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     def render(self, a) -> str:
         return self._render(a)

@@ -13,7 +13,7 @@ from math import factorial
 from .freemodule import LinComb, Report, TensorElem, accumulate, freeze
 from .hopf_trees import bplus, cuts_of, gl_ops
 from .morphisms import phi_star, rho_star
-from .scalar import QQ
+from .scalar import QQ, ZZ
 from .symfun import Partition, basis_expand, partitions_of, sym_product
 from .trees import (
     DOT,
@@ -66,8 +66,7 @@ def natural_growth(x, k: int = 1) -> LinComb:
 def n_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
     """Number of times the target appears in bplus(u) o t."""
     coeff = gl_ops(QQ).product(bplus(u), t).coeff(target)
-    assert coeff.denominator == 1
-    return int(coeff)
+    return ZZ.coerce(coeff)  # a count: raises if it is not an integer
 
 
 def _cut_tally(target: RootedTree) -> Counter:

@@ -232,10 +232,10 @@ def _prod(it):
 @lru_cache(maxsize=None)
 def embedding_count(t: RootedTree) -> int:
     """e(t): the number of planar trees whose underlying rooted tree is t."""
-    total = child_factorial_product(t)
-    order = sym_order(t)
-    assert total % order == 0
-    return total // order
+    count, rest = divmod(child_factorial_product(t), sym_order(t))
+    if rest:
+        raise ArithmeticError(f"e({t!r}) is not an integer")
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -335,8 +335,10 @@ def rooted_count_recurrence(vertices: int) -> int:
     for k in range(1, n + 1):
         s = sum(d * rooted_count_recurrence(d) for d in range(1, k + 1) if k % d == 0)
         total += s * rooted_count_recurrence(n - k + 1)
-    assert total % n == 0
-    return total // n
+    count, rest = divmod(total, n)
+    if rest:
+        raise ArithmeticError(f"tree count at {vertices} vertices is not integral")
+    return count
 
 
 def ladder(i: int) -> RootedTree:

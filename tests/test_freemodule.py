@@ -41,7 +41,7 @@ from hopftrees.hopf_trees import (
     pairing_kp_hf,
     pairing_kt_hk,
 )
-from hopftrees.scalar import QP, QQ, ZZ
+from hopftrees.scalar import QP, QQ, ZZ, Poly
 from hopftrees.special import kappa
 from hopftrees.symfun import (
     Composition,
@@ -391,6 +391,156 @@ def test_accumulate_in_place():
     assert X not in acc.terms  # cancelled terms leave the dict
     with pytest.raises(RingMismatchError):
         accumulate(acc, LinComb.term(QP, X), 1)
+    # a value may be added into itself, cancelling every term
+    accumulate(acc, acc, -1)
+    assert acc.is_zero()
+
+
+def test_accumulate_coerces_its_scale_factor():
+    """c enters the ring as scale's factor does: a value outside it is
+    refused before acc changes, and one inside it takes the ring's type."""
+    with pytest.raises(TypeError):
+        LinComb.term(ZZ, DOT).scale(Fraction(1, 2))
+    refused = [
+        (LinComb.term(ZZ, DOT), LinComb.term(ZZ, DOT), Fraction(1, 2)),
+        (TensorElem.term(ZZ, DOT, DOT), TensorElem.term(ZZ, DOT, DOT), 0.5),
+        (LinComb.term(QQ, DOT), LinComb.term(QQ, DOT), 0.25),
+        (LinComb.term(QP, DOT), LinComb.term(QP, DOT), 0.25),
+    ]
+    for acc, x, c in refused:
+        before = dict(acc.terms)
+        with pytest.raises(TypeError):
+            accumulate(acc, x, c)
+        with pytest.raises(TypeError):
+            accumulate(acc, acc, c)
+        assert acc.terms == before
+    l2 = ladder(2)
+    for ring, c, scalar in ((ZZ, Fraction(2), int), (QQ, 2, Fraction), (QP, 2, Poly)):
+        acc = LinComb.term(ring, DOT)
+        accumulate(acc, LinComb(ring, {DOT: 1, l2: 3}), c)
+        assert acc == LinComb(ring, {DOT: 3, l2: 6})
+        assert all(type(v) is scalar for v in acc.terms.values())
+
+
+# The fused kernels (bilinear, TensorElem.mul, TensorElem.tensor and
+# MonomialProduct) against references that add c1*c2*f(b1, b2) term by term
+# through the public constructors, which coerce and merge every coefficient.
+
+_small = st.integers(min_value=-2, max_value=2)
+# (ring, the type of its elements, small elements that often cancel)
+_RINGS = [
+    (ZZ, int, _small),
+    (QQ, Fraction, st.builds(Fraction, _small, st.integers(min_value=1, max_value=3))),
+    (QP, Poly, st.builds(lambda a, b: Poly((a, b)), _small, _small)),
+]
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A ring, and draws of combinations over planar trees (kP, memoised
+    product) or ordered forests (H_F, MonomialProduct) of degree at most 2,
+    and of tensors over their pairs: few enough basis elements that terms
+    collide and cancel."""
+    ring, scalar, coeffs = draw(st.sampled_from(_RINGS))
+    trees = [b for n in range(3) for b in kp_ops(ring).basis(n)]
+    forests = [b for n in range(3) for b in hf_ops(ring).basis(n)]
+
+    def terms(keys, most):
+        picked = draw(st.lists(keys, max_size=most))
+        cs = draw(st.lists(coeffs, min_size=len(picked), max_size=len(picked)))
+        return list(zip(picked, cs))
+
+    def combination(pool):
+        return LinComb(ring, terms(st.sampled_from(pool), 4))
+
+    def tensor():
+        pairs = st.tuples(st.sampled_from(trees), st.sampled_from(forests))
+        return TensorElem(ring, terms(pairs, 3))
+
+    return ring, scalar, trees, forests, combination, tensor
+
+
+def _reference_bilinear(f, a, b):
+    return LinComb(
+        a.ring,
+        [
+            (b3, c1 * c2 * c3)
+            for b1, c1 in a.terms.items()
+            for b2, c2 in b.terms.items()
+            for b3, c3 in f(b1, b2).terms.items()
+        ],
+    )
+
+
+def _reference_mul(s, t, prod_left, prod_right):
+    return TensorElem(
+        s.ring,
+        [
+            ((x, y), c1 * c2 * cx * cy)
+            for (a, b), c1 in s.terms.items()
+            for (a2, b2), c2 in t.terms.items()
+            for x, cx in prod_left(a, a2).terms.items()
+            for y, cy in prod_right(b, b2).terms.items()
+        ],
+    )
+
+
+def _exact(value, scalar):
+    """No stored coefficient is zero, and each has the ring's own type."""
+    return all(c and type(c) is scalar for c in value.terms.values())
+
+
+@given(_kernel_inputs())
+def test_fused_kernels_match_term_by_term_references(inputs):
+    ring, scalar, trees, forests, combination, tensor = inputs
+    kp, monomial = kp_ops(ring), MonomialProduct(ring)
+    a, b = combination(trees), combination(trees)
+    u, v = combination(forests), combination(forests)
+    for f, x, y in (
+        (kp.product, a, b),
+        (kp.product, a + b, b - a),  # terms that cancel
+        (monomial, u, v),
+        (monomial, u + v, v - u),
+    ):
+        out = x.bilinear(f, y)
+        assert out == _reference_bilinear(f, x, y)
+        assert _exact(out, scalar)
+    for x in forests:
+        for y in forests:
+            out = monomial(x, y)
+            assert out == LinComb(ring, [(x.mul(y), 1)]) and _exact(out, scalar)
+    out = TensorElem.tensor(a, u)
+    assert out == TensorElem(
+        ring,
+        [((x, y), c1 * c2) for x, c1 in a.terms.items() for y, c2 in u.terms.items()],
+    )
+    assert _exact(out, scalar)
+    s, t = tensor(), tensor()
+    for left, right in ((s, t), (s + t, t - s)):
+        out = left.mul(right, kp.product, monomial)
+        assert out == _reference_mul(left, right, kp.product, monomial)
+        assert _exact(out, scalar)
+
+
+def test_fused_kernels_keep_every_ring_check():
+    for ring, other in ((ZZ, QQ), (QQ, QP), (QP, ZZ)):
+        kp = kp_ops(ring)
+        t = kp.basis(2)[0]
+        a = kp.term(t)
+        with pytest.raises(RingMismatchError):
+            a.bilinear(lambda x, y: LinComb.term(other, x), a)
+        pair = TensorElem.term(ring, t, t)
+        same = kp.product
+        elsewhere = kp_ops(other).product
+        for prod_left, prod_right in (
+            (elsewhere, same),
+            (same, elsewhere),
+            (elsewhere, elsewhere),
+        ):
+            with pytest.raises(RingMismatchError):
+                pair.mul(pair, prod_left, prod_right)
+    with pytest.raises(TypeError):
+        LinComb(ZZ, {DOT: Fraction(1, 2)})
 
 
 def test_cocommutativity_check():

@@ -1,12 +1,15 @@
+import ast
 import copy
 import operator
 import pickle
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hopftrees
 from hopftrees.cli import parse_expr
 from hopftrees.scalar import (
     ONE_POLY,
@@ -253,3 +256,15 @@ def test_rendering():
 
 def test_binom_of_rational_argument():
     assert binom_of(Fraction(7, 2), 2) == Fraction(35, 8)
+
+
+def test_library_checks_survive_python_O():
+    """python -O strips assert statements, so an exactness check written as
+    one would let a wrong count through: the library raises instead."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(hopftrees.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
