@@ -428,12 +428,17 @@ def _render_coeff(c, ring) -> tuple[bool, str]:
 
 
 def render_lincomb(x: LinComb, algebra: str) -> str:
+    """Parseable text of x; a TensorElem's pair (a, b) renders as "a @ b"."""
     if x.is_zero():
         return "0"
+    pairs = isinstance(x, TensorElem)
     pieces = []
     for b, c in x.sorted_terms():
         neg, coeff = _render_coeff(c, x.ring)
-        mono = render_basis(b, algebra)
+        if pairs:
+            mono = f"{render_basis(b[0], algebra)} @ {render_basis(b[1], algebra)}"
+        else:
+            mono = render_basis(b, algebra)
         if coeff == "1":
             body = mono
         elif mono == "1":
@@ -444,17 +449,7 @@ def render_lincomb(x: LinComb, algebra: str) -> str:
     return signed_join(pieces)
 
 
-def render_tensor(t: TensorElem, algebra: str) -> str:
-    if t.is_zero():
-        return "0"
-    pieces = []
-    for (a, b), c in t.sorted_terms():
-        neg, coeff = _render_coeff(c, t.ring)
-        body = f"{render_basis(a, algebra)} @ {render_basis(b, algebra)}"
-        if coeff != "1":
-            body = f"{coeff}*{body}"
-        pieces.append((neg, body))
-    return signed_join(pieces)
+render_tensor = render_lincomb
 
 
 def lincomb_json(x: LinComb, algebra: str) -> list:
@@ -509,7 +504,7 @@ def _cmd_op(args) -> int:
             ]
             print(json.dumps({"algebra": args.algebra, "terms": payload}, indent=2))
         else:
-            print(render_tensor(result, args.algebra))
+            print(render_lincomb(result, args.algebra))
     elif args.kind == "antipode":
         result = ops.antipode_lc(expr.value)
         _emit_lincomb(result, args.algebra, args.format)

@@ -20,6 +20,10 @@ class RingMismatchError(TypeError):
 
 
 def _check_ring(a, b):
+    """Refuse to combine a and b unless they are of one kind (LinComb or
+    TensorElem) over one ring."""
+    if a._kind is not b._kind:
+        raise TypeError(f"cannot mix a {a._kind.__name__} and a {b._kind.__name__}")
     if a.ring is not b.ring:
         raise RingMismatchError(f"mixed scalar rings {a.ring.name} and {b.ring.name}")
 
@@ -68,7 +72,12 @@ class Interned:
 
 
 class LinComb:
-    """Finite linear combination of basis elements with nonzero coefficients."""
+    """Finite linear combination of basis elements with nonzero coefficients.
+
+    Every result is built in the receiver's kind (``_kind``): LinComb, or
+    TensorElem for a combination of basis pairs; a frozen memo value's kind
+    is the plain class it freezes.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -104,7 +113,7 @@ class LinComb:
     def term(cls, ring: Ring, basis, coeff=None) -> "LinComb":
         if coeff is None:
             return cls._of(ring, {basis: ring.one})
-        return cls(ring, {basis: coeff})
+        return cls._kind(ring, {basis: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -115,17 +124,25 @@ class LinComb:
     def support(self):
         return self.terms.keys()
 
+    @staticmethod
+    def _order(term):
+        return term[0].sort_key
+
+    @staticmethod
+    def _key_str(key, basis_str) -> str:
+        return basis_str(key)
+
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)
+        return sorted(self.terms.items(), key=self._order)
 
     def __add__(self, other: "LinComb") -> "LinComb":
         _check_ring(self, other)
         out = dict(self.terms)
         _add_into(out, other.terms, self.ring.one)
-        return LinComb._of(self.ring, out)
+        return self._of(self.ring, out)
 
     def __neg__(self) -> "LinComb":
-        return LinComb._of(self.ring, {b: -c for b, c in self.terms.items()})
+        return self._of(self.ring, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
@@ -133,12 +150,13 @@ class LinComb:
     def scale(self, c) -> "LinComb":
         c = self.ring.coerce(c)
         if not c:
-            return LinComb.zero(self.ring)
-        return LinComb._of(self.ring, {b: v * c for b, v in self.terms.items()})
+            return self.zero(self.ring)
+        return self._of(self.ring, {b: v * c for b, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, LinComb)
+            and self._kind is other._kind
             and self.ring is other.ring
             and self.terms == other.terms
         )
@@ -151,14 +169,11 @@ class LinComb:
         ring = out_ring or self.ring
         acc = LinComb.zero(ring)
         for b, c in self.terms.items():
-            img = f(b)
-            if not isinstance(img, LinComb):
-                img = LinComb.term(ring, img)
-            accumulate(acc, img, c)
+            accumulate(acc, as_lincomb(ring, f(b)), c)
         return acc
 
     def map_coeffs(self, f, out_ring: Ring) -> "LinComb":
-        return LinComb(out_ring, {b: f(c) for b, c in self.terms.items()})
+        return self._kind(out_ring, {b: f(c) for b, c in self.terms.items()})
 
     def bilinear(self, f, other: "LinComb") -> "LinComb":
         """Sum of c1*c2*f(b1, b2) over all pairs of terms; f returns a LinComb."""
@@ -178,42 +193,38 @@ class LinComb:
             return "0"
         out = []
         for b, c in self.sorted_terms():
-            out.append(f"{self.ring.render(c)}*{basis_str(b)}")
+            out.append(f"{self.ring.render(c)}*{self._key_str(b, basis_str)}")
         return " + ".join(out)
 
     def __repr__(self):
-        return f"LinComb<{self.ring.name}>({self.render()})"
+        return f"{self._kind.__name__}<{self.ring.name}>({self.render()})"
 
 
-class TensorElem:
-    """Element of the tensor square: combination of ordered basis pairs."""
+LinComb._kind = LinComb
 
-    __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms=None):
-        data = {}
-        if terms:
-            for pair, c in terms.items() if isinstance(terms, dict) else terms:
-                c = ring.coerce(c)
-                if not ring.is_zero(c):
-                    if pair in data:
-                        c = data[pair] + c
-                        if ring.is_zero(c):
-                            del data[pair]
-                            continue
-                    data[pair] = c
-        self.ring = ring
-        self.terms = data
+class TensorElem(LinComb):
+    """Element of the tensor square: a combination whose keys are ordered
+    basis pairs (left, right)."""
 
-    _of = classmethod(LinComb._of.__func__)
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls, ring: Ring) -> "TensorElem":
-        return cls._of(ring, {})
+    # perfbench/tracer.py probes TensorElem.__dict__["__add__"] to count
+    # tensor sums apart from LinComb sums
+    __add__ = LinComb.__add__
+
+    @staticmethod
+    def _order(term):
+        (a, b), _ = term
+        return (a.sort_key, b.sort_key)
+
+    @staticmethod
+    def _key_str(key, basis_str) -> str:
+        return f"{basis_str(key[0])}(x){basis_str(key[1])}"
 
     @classmethod
     def term(cls, ring: Ring, left, right, coeff=None) -> "TensorElem":
-        return cls(ring, {(left, right): ring.one if coeff is None else coeff})
+        return super().term(ring, (left, right), coeff)
 
     @classmethod
     def tensor(cls, a: LinComb, b: LinComb) -> "TensorElem":
@@ -224,61 +235,18 @@ class TensorElem:
                 out[(b1, b2)] = c1 * c2
         return cls._of(a.ring, out)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, left, right):
         return self.terms.get((left, right), self.ring.zero)
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
-        )
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        _check_ring(self, other)
-        out = dict(self.terms)
-        _add_into(out, other.terms, self.ring.one)
-        return TensorElem._of(self.ring, out)
-
-    def __neg__(self) -> "TensorElem":
-        return TensorElem._of(self.ring, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TensorElem":
-        c = self.ring.coerce(c)
-        if not c:
-            return TensorElem.zero(self.ring)
-        return TensorElem._of(self.ring, {p: v * c for p, v in self.terms.items()})
-
     def swap(self) -> "TensorElem":
-        return TensorElem._of(
-            self.ring, {(b, a): c for (a, b), c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElem)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring.name, frozenset(self.terms.items())))
+        return self._of(self.ring, {(b, a): c for (a, b), c in self.terms.items()})
 
     def map_sides(self, f_left, f_right, out_ring: Ring | None = None) -> "TensorElem":
         """Apply linear maps to the two tensor factors."""
         ring = out_ring or self.ring
         acc = TensorElem.zero(ring)
         for (a, b), c in self.terms.items():
-            la = f_left(a)
-            if not isinstance(la, LinComb):
-                la = LinComb.term(ring, la)
-            lb = f_right(b)
-            if not isinstance(lb, LinComb):
-                lb = LinComb.term(ring, lb)
+            la, lb = as_lincomb(ring, f_left(a)), as_lincomb(ring, f_right(b))
             accumulate(acc, TensorElem.tensor(la, lb), c)
         return acc
 
@@ -295,23 +263,22 @@ class TensorElem:
                 _add_into(out, pair.terms, c * c2)
         return TensorElem._of(ring, out)
 
-    def render(self, basis_str=repr) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for (a, b), c in self.sorted_terms():
-            out.append(f"{self.ring.render(c)}*{basis_str(a)}(x){basis_str(b)}")
-        return " + ".join(out)
 
-    def __repr__(self):
-        return f"TensorElem<{self.ring.name}>({self.render()})"
+TensorElem._kind = TensorElem
+
+
+def as_lincomb(ring: Ring, x) -> LinComb:
+    """x if it is a combination, else the basis element x as one over ring."""
+    return x if isinstance(x, LinComb) else LinComb.term(ring, x)
 
 
 def accumulate(acc, x, c) -> None:
     """Add c * x to acc in place, c coerced into their ring first.
 
-    acc and x are both LinComb or both TensorElem over one ring.  acc must be
-    a value its caller built, never a frozen one handed out by a memo, whose
+    acc and x must be of one kind, both LinComb or both TensorElem, over one
+    ring: another kind raises TypeError, another ring RingMismatchError, and
+    a c outside the ring TypeError, each before acc changes.  acc must be a
+    value its caller built, never a frozen one handed out by a memo, whose
     terms are read-only.
     """
     _check_ring(acc, x)
@@ -355,18 +322,25 @@ class _ReadOnly:
     def __delattr__(self, name):
         raise AttributeError(f"a cached {type(self).__name__} is read-only")
 
+    @classmethod
+    def _of(cls, ring: Ring, terms: dict):
+        # what a frozen value computes is an ordinary value of its kind
+        return cls._kind._of(ring, terms)
+
     def __reduce__(self):
-        # copy and pickle give an ordinary, mutable LinComb or TensorElem (the
-        # last base class) with the same terms
-        return (type(self).__bases__[-1], (self.ring, dict(self.terms)))
+        # copy and pickle give an ordinary, mutable value of the same kind
+        # with the same terms
+        return (self._kind, (self.ring, dict(self.terms)))
 
 
 class _CachedLinComb(_ReadOnly, LinComb):
     __slots__ = ()
+    _kind = LinComb
 
 
 class _CachedTensorElem(_ReadOnly, TensorElem):
     __slots__ = ()
+    _kind = TensorElem
 
 
 def freeze(x, table=None):
@@ -578,6 +552,21 @@ class Report:
         return "\n".join(self.lines())
 
 
+_WITNESS_TERMS = 3
+
+
+def difference_witness(case, lhs: LinComb, rhs: LinComb):
+    """None when the combinations lhs and rhs of one kind are equal, else the
+    one-line ASCII witness: repr(case), then the first three sorted terms of
+    lhs - rhs and, when there are more, their number."""
+    if lhs == rhs:
+        return None
+    diff = (lhs - rhs).sorted_terms()
+    head = lhs._of(lhs.ring, dict(diff[:_WITNESS_TERMS])).render()
+    more = f" ... ({len(diff)} terms)" if len(diff) > _WITNESS_TERMS else ""
+    return f"{case!r}; lhs - rhs = {head}{more}"
+
+
 def _pairs_upto(by_deg, total):
     for d1 in range(total + 1):
         for d2 in range(total - d1 + 1):
@@ -617,11 +606,9 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
     rep.add("counit normalization", h.counit(h.unit) == h.ring.one)
 
     def unit_law(b):
-        lhs = h.product(h.unit, b)
-        rhs = h.product(b, h.unit)
-        if lhs != h.term(b) or rhs != h.term(b):
-            return repr(b)
-        return None
+        want = h.term(b)
+        left, right = h.product(h.unit, b), h.product(b, h.unit)
+        return difference_witness(b, left, want) or difference_witness(b, right, want)
 
     rep.law("product unit laws", elems, unit_law)
 
@@ -629,9 +616,7 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
         x, y, z = triple
         left = h.product_lc(h.product(x, y), h.term(z))
         right = h.product_lc(h.term(x), h.product(y, z))
-        if left != right:
-            return f"({x!r}, {y!r}, {z!r})"
-        return None
+        return difference_witness(triple, left, right)
 
     rep.law("product associativity", _triples_upto(by_deg, max_degree), assoc)
 
@@ -677,9 +662,8 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
         cop = h.coproduct(b).terms.items()
         left = LinComb(h.ring, [(y, c * h.counit(x)) for (x, y), c in cop])
         right = LinComb(h.ring, [(x, c * h.counit(y)) for (x, y), c in cop])
-        if left != h.term(b) or right != h.term(b):
-            return repr(b)
-        return None
+        want = h.term(b)
+        return difference_witness(b, left, want) or difference_witness(b, right, want)
 
     rep.law("counit laws", elems, counit_laws)
 
@@ -705,9 +689,7 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
         x, y = pair
         lhs = h.coproduct_lc(h.product(x, y))
         rhs = h.coproduct(x).mul(h.coproduct(y), h.product, h.product)
-        if lhs != rhs:
-            return f"({x!r}, {y!r})"
-        return None
+        return difference_witness(pair, lhs, rhs)
 
     rep.law("coproduct multiplicativity", _pairs_upto(by_deg, max_degree), multiplicative)
 
@@ -719,9 +701,7 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
             accumulate(left, h.product_lc(h.antipode_basis(x), h.term(y)), c)
             accumulate(right, h.product_lc(h.term(x), h.antipode_basis(y)), c)
         want = h.one_lc().scale(h.counit(b))
-        if left != want or right != want:
-            return repr(b)
-        return None
+        return difference_witness(b, left, want) or difference_witness(b, right, want)
 
     rep.law("antipode convolution laws", elems, antipode_law)
     return rep
@@ -733,9 +713,7 @@ def check_cocommutativity(h: HopfOps, max_degree: int) -> Report:
 
     def swap_invariant(b):
         cop = h.coproduct(b)
-        if cop != cop.swap():
-            return repr(b)
-        return None
+        return difference_witness(b, cop, cop.swap())
 
     rep.law("coproduct swap invariance", elems, swap_invariant)
     return rep
@@ -757,12 +735,7 @@ def pairing_extend(base, a: LinComb, b: LinComb):
 
 def tensor_pairing(base, ta: TensorElem, tb: TensorElem):
     """(a x b, c x d) = (a, c)(b, d), extended bilinearly."""
-    _check_ring(ta, tb)
-    acc = ta.ring.zero
-    for (a, b), c1 in ta.terms.items():
-        for (x, y), c2 in tb.terms.items():
-            acc = acc + c1 * c2 * base(a, x) * base(b, y)
-    return acc
+    return pairing_extend(lambda p, q: base(p[0], q[0]) * base(p[1], q[1]), ta, tb)
 
 
 def duality_check(
@@ -783,10 +756,7 @@ def duality_check(
     by_deg = {n: list(hA.basis(n)) for n in range(max_degree + 1)}
 
     def phi_term(b) -> LinComb:
-        img = phi(b)
-        if not isinstance(img, LinComb):
-            img = LinComb.term(hB.ring, img)
-        return img
+        return as_lincomb(hB.ring, phi(b))
 
     rep.law(
         "degree preservation of phi",

@@ -7,7 +7,7 @@ Square two (d2), the dual: kT -> kP -> QSym agrees with kT -> Sym -> QSym.
 
 from __future__ import annotations
 
-from .freemodule import HopfOps, LinComb, Report, _pairs_upto
+from .freemodule import HopfOps, LinComb, Report, _pairs_upto, difference_witness
 from .scalar import QQ
 from .symfun import (
     Composition,
@@ -150,9 +150,7 @@ def _check_hopf_morphism(
         x, y = pair
         lhs = f(dom.product(x, y))
         rhs = cod.product_lc(f(dom.term(x)), f(dom.term(y)))
-        if lhs != rhs:
-            return f"({x!r}, {y!r})"
-        return None
+        return difference_witness(pair, lhs, rhs)
 
     rep.law(f"{name}: products", _pairs_upto(by_deg, max_degree), product_ok)
 
@@ -161,9 +159,7 @@ def _check_hopf_morphism(
             lambda u: f(dom.term(u)), lambda u: f(dom.term(u)), out_ring=cod.ring
         )
         rhs = cod.coproduct_lc(f(dom.term(b)))
-        if lhs != rhs:
-            return repr(b)
-        return None
+        return difference_witness(b, lhs, rhs)
 
     rep.law(f"{name}: coproducts", elems, coproduct_ok)
 

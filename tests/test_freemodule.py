@@ -16,6 +16,7 @@ from hopftrees.freemodule import (
     accumulate,
     check_axioms,
     check_cocommutativity,
+    difference_witness,
     duality_check,
     generic_antipode,
     pairing_extend,
@@ -98,6 +99,61 @@ def test_ring_mismatch_raises():
         LinComb.term(QQ, X) + LinComb.term(QP, X)
     with pytest.raises(RingMismatchError):
         TensorElem.term(QQ, X, Y) + TensorElem.term(QP, X, Y)
+
+
+def test_kinds_never_mix():
+    """A LinComb and a TensorElem are refused as operands of one operation
+    before anything is stored, and are never equal, zero included."""
+    one, pair = LinComb.term(QQ, X), TensorElem.term(QQ, X, X)
+    frozen = kp_ops(QQ).coproduct(kp_ops(QQ).unit)
+    for a, b in ((one, pair), (pair, one), (one, frozen)):
+        with pytest.raises(TypeError, match="cannot mix"):
+            a + b
+        with pytest.raises(TypeError, match="cannot mix"):
+            a - b
+        with pytest.raises(TypeError, match="cannot mix"):
+            pairing_extend(lambda u, v: 1, a, b)
+    for acc, x in ((LinComb.zero(QQ), pair), (TensorElem.zero(QQ), one)):
+        with pytest.raises(TypeError, match="cannot mix"):
+            accumulate(acc, x, 1)
+        assert acc.is_zero()
+    with pytest.raises(TypeError, match="cannot mix"):
+        one.bilinear(lambda u, v: one, pair)
+    with pytest.raises(TypeError, match="cannot mix"):
+        pair.mul(one, kp_ops(QQ).product, kp_ops(QQ).product)
+    with pytest.raises(TypeError, match="cannot mix"):
+        TensorElem.tensor(one, pair)
+    assert LinComb.zero(QQ) != TensorElem.zero(QQ)
+    assert LinComb.term(QQ, (X, X)) != pair
+    assert pair != LinComb.term(QQ, (X, X))
+
+
+def test_tensor_elem_is_a_combination_over_pairs():
+    t = TensorElem.term(QQ, X, Y, 2)
+    assert isinstance(t, LinComb) and t.terms == {(X, Y): 2}
+    for derived in (t + t, t - t, -t, t.scale(3), t.swap(), TensorElem.zero(QQ)):
+        assert type(derived) is TensorElem
+    assert t.render() == f"2*{X!r}(x){Y!r}"
+    assert repr(t) == f"TensorElem<{QQ.name}>(2*{X!r}(x){Y!r})"
+    assert t.map_coeffs(lambda c: c * 2, QQ) == t.scale(2)
+    # the benchmark tracer counts tensor sums through this class attribute
+    assert TensorElem.__dict__["__add__"] is LinComb.__add__
+
+
+def test_difference_witness_shows_the_first_terms():
+    five = LinComb(QQ, {Partition([k]): k for k in range(1, 6)})
+    shown = " + ".join(f"{k}*{Partition([k])!r}" for k in (1, 2, 3))
+    assert difference_witness(X, five, LinComb.zero(QQ)) == (
+        f"{X!r}; lhs - rhs = {shown} ... (5 terms)"
+    )
+    assert difference_witness(X, lc(x=1, y=2), lc(x=1)) == (
+        f"{X!r}; lhs - rhs = 2*{Y!r}"
+    )
+    assert difference_witness(X, lc(x=1), lc(x=1)) is None
+    pairs = TensorElem.tensor(lc(x=1), lc(y=1))
+    assert difference_witness(X, pairs, pairs.swap()) == (
+        f"{X!r}; lhs - rhs = 1*{X!r}(x){Y!r} + -1*{Y!r}(x){X!r}"
+    )
 
 
 def test_bilinear_extension():
@@ -300,8 +356,9 @@ def test_check_axioms_catches_one_wrong_antipode_coefficient(factory):
     )
     assert broken.antipode_basis(y) != base.antipode_basis(y)
     failed = [e for e in check_axioms(broken, 3).entries if not e.ok]
+    # the witness names y and shows the added term as the whole difference
     assert [(e.law, e.witness) for e in failed] == [
-        ("antipode convolution laws", repr(y))
+        ("antipode convolution laws", f"{y!r}; lhs - rhs = 1*{target!r}")
     ]
 
 
@@ -321,7 +378,7 @@ def test_memo_values_are_read_only():
         with pytest.raises(TypeError):
             accumulate(cached, cached, QQ.one)
         # a copy of the terms is an ordinary value
-        plain = LinComb if isinstance(cached, LinComb) else TensorElem
+        plain = TensorElem if isinstance(cached, TensorElem) else LinComb
         copy = plain(QQ, dict(cached.terms))
         accumulate(copy, cached, -1)
         assert copy.is_zero()
@@ -349,7 +406,7 @@ def test_memo_values_copy_to_mutable_values():
     cached = (ops.product(t, t), ops.coproduct(t), ops.antipode_basis(t), kappa(2))
     before = [dict(v.terms) for v in cached]
     for value in cached:
-        plain = LinComb if isinstance(value, LinComb) else TensorElem
+        plain = TensorElem if isinstance(value, TensorElem) else LinComb
         for c in (
             copy.copy(value),
             copy.deepcopy(value),
@@ -549,6 +606,10 @@ def test_cocommutativity_check():
 
     rep = check_cocommutativity(qsym_ops(QQ), 4)
     assert not rep.passed
+    # the witness names the composition and shows its two differing pairs
+    (failed,) = [e for e in rep.entries if not e.ok]
+    label, diff = failed.witness.split("; lhs - rhs = ")
+    assert label.startswith("Composition(") and diff.count("(x)") == 2
 
 
 def test_pairing_extension():

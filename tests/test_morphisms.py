@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from hopftrees import morphisms
 from hopftrees.freemodule import LinComb, pairing_extend
-from hopftrees.hopf_trees import bplus, pairing_kt_hk
+from hopftrees.hopf_trees import bplus, gl_ops, hf_ops, kp_ops, pairing_kt_hk
 from hopftrees.morphisms import (
     Phi,
     Phi_star,
@@ -19,7 +20,9 @@ from hopftrees.symfun import (
     Composition,
     Partition,
     basis_expand,
+    nsym_ops,
     partitions_of,
+    sym_ops,
     sym_product,
     tau,
 )
@@ -125,6 +128,43 @@ def test_d1_on_word_by_hand():
 def test_diagrams_commute(diagram):
     rep = diagram_check(diagram, 4)
     assert rep.passed, [e.line() for e in rep.entries if not e.ok]
+
+
+# each map: its name in the diagram report, its square, the ops of its domain
+MORPHISMS = {
+    "phi": ("phi", "d1", sym_ops),
+    "Phi": ("Phi", "d1", nsym_ops),
+    "rho": ("rho", "d1", hf_ops),
+    "tau": ("tau", "d1", nsym_ops),
+    "phi_star": ("phi*", "d2", gl_ops),
+    "Phi_star": ("Phi*", "d2", kp_ops),
+    "rho_star": ("rho*", "d2", gl_ops),
+    "tau_star": ("tau*", "d2", sym_ops),
+}
+
+
+@pytest.mark.parametrize("name", MORPHISMS)
+def test_diagram_check_catches_one_wrong_morphism_coefficient(monkeypatch, name):
+    """1 added to one coefficient of the image of one degree-2 basis element
+    y, extended linearly; diagram_check reaches the maps through the
+    morphisms module's globals."""
+    label, diagram, domain = MORPHISMS[name]
+    assert diagram_check(diagram, 3).passed
+    f = getattr(morphisms, name)
+    dom = domain(QQ)
+    y = next(b for b in dom.basis(2) if not f(dom.term(b)).is_zero())
+    target = f(dom.term(y)).sorted_terms()[0][0]
+
+    def corrupted(x):
+        if not isinstance(x, LinComb):
+            x = LinComb.term(QQ, x)
+        return f(x) + LinComb.term(x.ring, target, x.coeff(y))
+
+    monkeypatch.setattr(morphisms, name, corrupted)
+    failed = [e.law for e in diagram_check(diagram, 3).entries if not e.ok]
+    assert failed
+    # only laws of the corrupted map and the square itself fail
+    assert all(law.startswith(f"{label}: ") or " = " in law for law in failed)
 
 
 def test_square_commutation_at_weight_six():
