@@ -50,7 +50,6 @@ from .hopf_trees import (
     bplus_ordered,
     ck_antipode,
     ck_coproduct,
-    ck_coproduct_recursive,
     ck_ops,
     cuts_of,
     gl_coproduct,

@@ -2,14 +2,16 @@
 
 kT has rooted trees as basis with the grafting product; H_K is the free
 commutative algebra on rooted trees with the admissible-cut coproduct.  kP
-and H_F are their planar analogues: kP multiplies by the asymmetric shuffle
-of bracket arrangements, H_F is the tensor algebra on planar trees.
+and H_F are their planar analogues: kP grafts in order into the gaps between
+children, H_F is the tensor algebra on planar trees.  One memoised walk over
+the slots of u computes both grafting products.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 from typing import Any, NamedTuple
 
 from .freemodule import HopfOps, LinComb, MonomialProduct, TensorElem
@@ -25,7 +27,6 @@ from .trees import (
     PDOT,
     ResourceLimitError,
     RootedTree,
-    bba_decode,
     enumerate_planar,
     enumerate_rooted,
     env_ceiling,
@@ -131,41 +132,109 @@ def cuts_of(tree, admissible_only: bool = False) -> list:
 
 
 # ---------------------------------------------------------------------------
+# grafting: one slot walk for kT and kP
+#
+# Grafting the root branches of t onto u attaches each branch to a vertex of
+# u.  The walk visits the slots of each vertex of u in order, and each slot
+# takes a piece of the branches still pending; the last slot takes all that
+# is left.  A rooted vertex has the slots (the vertex, child 1, ..., child
+# k), and a piece is a sub-multiset.  A planar vertex has the slots (gap 0,
+# child 1, gap 1, ..., child k, gap k), the positions between its children,
+# and a piece is a contiguous run of the ordered branches.
+
+
+def _submultisets(pending: tuple) -> tuple:
+    """(piece, rest, weight) for each sub-multiset piece of the canonically
+    sorted branches pending.  Equal branches are adjacent, and interned, so
+    equal means identical; the weight, a product of binomials over the
+    classes of equal branches, is the number of subsets of labelled branches
+    that give the piece."""
+    out = (((), (), 1),)
+    for b, run in itertools.groupby(pending):
+        m = len(tuple(run))
+        out = tuple(
+            (piece + (b,) * a, rest + (b,) * (m - a), w * comb(m, a))
+            for piece, rest, w in out
+            for a in range(m + 1)
+        )
+    return out
+
+
+def _runs(pending: tuple) -> tuple:
+    """(piece, rest, 1) for each prefix piece of the ordered branches."""
+    return tuple((pending[:i], pending[i:], 1) for i in range(len(pending) + 1))
+
+
+def _rooted_slots(kids: tuple) -> tuple:
+    return ((None, kids),) + tuple((c, kids[i + 1 :]) for i, c in enumerate(kids))
+
+
+def _planar_slots(kids: tuple) -> tuple:
+    return ((None, kids),) + tuple(
+        slot
+        for i, c in enumerate(kids)
+        for slot in ((c, kids[i + 1 :]), (None, kids[i + 1 :]))
+    )
+
+
+# tree type -> (its slots, its pieces); a slot is (child, the children after
+# it), with None as the child for the vertex itself or a gap
+_GRAFTING = {
+    RootedTree: (_rooted_slots, _submultisets),
+    PlanarTree: (_planar_slots, _runs),
+}
+
+
+def _slot_walk(u, pending: tuple) -> tuple:
+    """(tree, count) for each tree that attaching every branch of pending to
+    a vertex of u gives; count is the number of ways.  A vertex or gap slot
+    appends its piece to the kids, a child slot the child walked with its
+    piece; once no branch is left, the children after the slot follow
+    unchanged."""
+    if not pending:
+        return ((u, 1),)
+    make = type(u)
+    slots, pieces = _GRAFTING[make]
+    slots = slots(u.children)
+    last = len(slots) - 1
+    counts: dict = {}
+    states = {((), pending): 1}  # (kids so far, branches left) -> ways
+    for i, (child, tail) in enumerate(slots):
+        grown: dict = {}
+        for (kids, rest), n in states.items():
+            for piece, left, w in ((rest, (), 1),) if i == last else pieces(rest):
+                if child is None:
+                    options = ((kids + piece, w),)
+                elif not piece:
+                    options = ((kids + (child,), w),)
+                else:
+                    options = (
+                        (kids + (c,), w * m) for c, m in _slot_walk_memo(child, piece)
+                    )
+                for kids2, ways in options:
+                    if left:
+                        key = (kids2, left)
+                        grown[key] = grown.get(key, 0) + n * ways
+                    else:
+                        tree = make(kids2 + tail)
+                        counts[tree] = counts.get(tree, 0) + n * ways
+        states = grown
+    return tuple(counts.items())
+
+
+# the walks below the top level, shared across calls; the top-level walk is
+# not stored, since HopfOps memoises the product it gives
+_slot_walk_memo = lru_cache(maxsize=None)(_slot_walk)
+
+
+# ---------------------------------------------------------------------------
 # kT: the grafting algebra of rooted trees
-
-
-def _vertex_paths(t: RootedTree):
-    paths = [()]
-    for i, c in enumerate(t.children):
-        paths.extend((i,) + p for p in _vertex_paths(c))
-    return paths
-
-
-def _graft(node: RootedTree, path, extra) -> RootedTree:
-    kids = tuple(_graft(c, path + (i,), extra) for i, c in enumerate(node.children))
-    return RootedTree(kids + tuple(extra.get(path, ())))
 
 
 def gl_product(t: RootedTree, u: RootedTree, ring=QQ) -> LinComb:
     """Grafting product: sum over all ways of attaching each root branch of t
-    to a vertex of u.
-
-    Attachment happens directly on canonical trees (no planar detour):
-    every assignment of branches to vertices is grafted and the identical
-    resulting trees accumulate integer coefficients.
-    """
-    branches = t.children
-    if not branches:
-        return LinComb.term(ring, u)
-    paths = _vertex_paths(u)
-    counts: dict[RootedTree, int] = {}
-    for assign in itertools.product(range(len(paths)), repeat=len(branches)):
-        extra: dict[tuple, list] = {}
-        for branch, vi in zip(branches, assign):
-            extra.setdefault(paths[vi], []).append(branch)
-        res = _graft(u, (), extra)
-        counts[res] = counts.get(res, 0) + 1
-    return LinComb(ring, counts)
+    to a vertex of u, the branches counted as labelled."""
+    return LinComb(ring, _slot_walk(u, t.children))
 
 
 def gl_coproduct(t: RootedTree, ring=QQ) -> TensorElem:
@@ -253,22 +322,6 @@ def ck_coproduct(x: Forest, ring=QQ) -> TensorElem:
     return _extend_over_forest(x, _cut_coproduct, ring)
 
 
-def _root_extraction(t: RootedTree, forest, ring) -> TensorElem:
-    inner = ck_coproduct_recursive(bminus(t), ring)
-    terms: dict = {(forest((t,)), forest()): ring.one}
-    for (a, b), c in inner.terms.items():
-        key = (a, forest((bplus(b),)))
-        terms[key] = terms.get(key, ring.zero) + c
-    return TensorElem(ring, terms)
-
-
-def ck_coproduct_recursive(x: Forest, ring=QQ) -> TensorElem:
-    """The same coproduct by the root-extraction recursion
-    D(t) = t x 1 + (id x bplus) D(bminus t); a cross-validation oracle for
-    the cut formula."""
-    return _extend_over_forest(x, _root_extraction, ring)
-
-
 def ck_antipode(x, ring=QQ) -> LinComb:
     """Closed antipode formula on a rooted tree or a forest of them."""
     return _closed_antipode(x, Forest, ring)
@@ -289,32 +342,14 @@ def ck_ops(ring=QQ) -> HopfOps:
 
 
 # ---------------------------------------------------------------------------
-# kP: planar grafting via asymmetric shuffles of bracket arrangements
-
-
-def _interleavings(a, b):
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for rest in _interleavings(a[1:], b):
-        yield (a[0],) + rest
-    for rest in _interleavings(a, b[1:]):
-        yield (b[0],) + rest
+# kP: planar grafting
 
 
 def kp_product(t: PlanarTree, u: PlanarTree, ring=QQ) -> LinComb:
-    """Asymmetric shuffle: insert the components of t's bracket string, in
-    order, into the symbol sequence of u's bracket string in all ways."""
-    comps = tuple("<" + c.bba + ">" for c in t.children)
-    symbols = tuple(u.bba)
-    counts: dict[PlanarTree, int] = {}
-    for merged in _interleavings(comps, symbols):
-        tree = bba_decode("".join(merged))
-        counts[tree] = counts.get(tree, 0) + 1
-    return LinComb(ring, counts)
+    """Planar grafting product: sum over all ways of attaching the root
+    branches of t, in order, into the gaps between the children of the
+    vertices of u."""
+    return LinComb(ring, _slot_walk(u, t.children))
 
 
 def kp_coproduct(t: PlanarTree, ring=QQ) -> TensorElem:

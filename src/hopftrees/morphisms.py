@@ -171,13 +171,14 @@ def diagram_check(diagram: str, max_degree: int) -> Report:
     if diagram == "d1":
         nsym, sym, hf, ck = nsym_ops(QQ), sym_ops(QQ), hf_ops(QQ), ck_ops(QQ)
         for word in (w for n in range(max_degree + 1) for w in compositions_of(n)):
-            lhs = rho(Phi(nsym.term(word)))
-            rhs = phi(tau(nsym.term(word)))
+            witness = difference_witness(
+                word, rho(Phi(nsym.term(word))), phi(tau(nsym.term(word)))
+            )
             rep.add(
                 f"rho(Phi(E{word.parts})) = phi(tau(E{word.parts}))",
-                lhs == rhs,
+                witness is None,
                 degree=word.weight,
-                witness=None if lhs == rhs else f"{lhs!r} != {rhs!r}",
+                witness=witness,
             )
         _check_hopf_morphism(rep, "Phi", nsym, hf, Phi, max_degree)
         _check_hopf_morphism(rep, "tau", nsym, sym, tau, max_degree)
@@ -186,14 +187,14 @@ def diagram_check(diagram: str, max_degree: int) -> Report:
     elif diagram == "d2":
         gl, kp, sym, qsym = gl_ops(QQ), kp_ops(QQ), sym_ops(QQ), qsym_ops(QQ)
         for t in (t for n in range(max_degree + 1) for t in enumerate_rooted(n)):
-            lhs = Phi_star(rho_star(t))
-            rhs = tau_star(phi_star(t))
-            ok = lhs == rhs
+            witness = difference_witness(
+                t, Phi_star(rho_star(t)), tau_star(phi_star(t))
+            )
             rep.add(
                 f"Phi*(rho*({t!r})) = tau*(phi*({t!r}))",
-                ok,
+                witness is None,
                 degree=t.size - 1,
-                witness=None if ok else f"{lhs!r} != {rhs!r}",
+                witness=witness,
             )
         _check_hopf_morphism(rep, "rho*", gl, kp, rho_star, max_degree)
         _check_hopf_morphism(rep, "phi*", gl, sym, phi_star, max_degree)

@@ -1,0 +1,93 @@
+"""Brute-force oracles for the tree structure maps.
+
+Each oracle computes what a library function computes by a different and
+slower route, so the tests can compare the two exhaustively on small
+inputs.  None of them is part of the library.
+"""
+
+import itertools
+
+from hopftrees.freemodule import LinComb, TensorElem
+from hopftrees.hopf_trees import _extend_over_forest, bminus, bplus
+from hopftrees.scalar import QQ
+from hopftrees.trees import PlanarTree, RootedTree, bba_decode
+
+# ---------------------------------------------------------------------------
+# grafting products
+
+
+def _vertex_paths(t):
+    """The path (tuple of child indices) from the root to each vertex."""
+    paths = [()]
+    for i, c in enumerate(t.children):
+        paths.extend((i,) + p for p in _vertex_paths(c))
+    return paths
+
+
+def _attach(node: RootedTree, path, extra) -> RootedTree:
+    """node with the branches extra[p] added as children of the vertex at p."""
+    kids = tuple(
+        _attach(c, path + (i,), extra) for i, c in enumerate(node.children)
+    )
+    return RootedTree(kids + tuple(extra.get(path, ())))
+
+
+def gl_product_oracle(t: RootedTree, u: RootedTree, ring=QQ) -> LinComb:
+    """The grafting product by its definition: each of the |V(u)|^k
+    assignments of the k root branches of t to the vertices of u, grafted
+    and counted."""
+    branches = t.children
+    paths = _vertex_paths(u)
+    counts: dict = {}
+    for assign in itertools.product(range(len(paths)), repeat=len(branches)):
+        extra: dict = {}
+        for branch, vi in zip(branches, assign):
+            extra.setdefault(paths[vi], []).append(branch)
+        res = _attach(u, (), extra)
+        counts[res] = counts.get(res, 0) + 1
+    return LinComb(ring, counts)
+
+
+def _interleavings(a, b):
+    """Every merge of the sequences a and b that keeps the order of each."""
+    if not a:
+        yield b
+        return
+    if not b:
+        yield a
+        return
+    for rest in _interleavings(a[1:], b):
+        yield (a[0],) + rest
+    for rest in _interleavings(a, b[1:]):
+        yield (b[0],) + rest
+
+
+def kp_product_oracle(t: PlanarTree, u: PlanarTree, ring=QQ) -> LinComb:
+    """The planar grafting product as the asymmetric shuffle of bracket
+    strings: the components of t's string, in order, inserted into the
+    symbol sequence of u's string in all ways, each result parsed back."""
+    comps = tuple("<" + c.bba + ">" for c in t.children)
+    counts: dict = {}
+    for merged in _interleavings(comps, tuple(u.bba)):
+        tree = bba_decode("".join(merged))
+        counts[tree] = counts.get(tree, 0) + 1
+    return LinComb(ring, counts)
+
+
+# ---------------------------------------------------------------------------
+# the Connes-Kreimer coproduct by root extraction
+
+
+def _root_extraction(t: RootedTree, forest, ring) -> TensorElem:
+    inner = ck_coproduct_recursive(bminus(t), ring)
+    terms: dict = {(forest((t,)), forest()): ring.one}
+    for (a, b), c in inner.terms.items():
+        key = (a, forest((bplus(b),)))
+        terms[key] = terms.get(key, ring.zero) + c
+    return TensorElem(ring, terms)
+
+
+def ck_coproduct_recursive(x, ring=QQ) -> TensorElem:
+    """The H_K coproduct by the root-extraction recursion
+    D(t) = t x 1 + (id x bplus) D(bminus t), extended over the forest x."""
+    return _extend_over_forest(x, _root_extraction, ring)

@@ -349,6 +349,27 @@ def test_cli_check_failure_exit_code(monkeypatch, capsys):
     assert "FAILURES PRESENT" in capsys.readouterr().out
 
 
+def test_cli_dse_catches_one_wrong_closed_form_coefficient(monkeypatch, capsys):
+    """1 added to cp_coefficient of one planar tree with 4 vertices: the
+    closed H_F solution moves at degree 4, and the recursion, which never
+    calls cp_coefficient, does not.  The patch wraps cp_coefficient outside
+    the lru_cache of dse._binom_product, so no cached value is corrupted."""
+    from hopftrees import dse
+
+    star = bba_decode("<><><>")
+    exact = dse.cp_coefficient
+    monkeypatch.setattr(
+        dse, "cp_coefficient", lambda t: exact(t) + 1 if t is star else exact(t)
+    )
+    assert run(["check", "--suite", "dse", "--max-degree", "6"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "  FAIL recursive matches closed form [4 cases] witness: degree 4"
+        in out.splitlines()
+    )
+    assert out.endswith("FAILURES PRESENT\n")
+
+
 def test_integral_suites_run_over_zz(monkeypatch, capsys):
     seen = []
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -10,7 +11,6 @@ from hopftrees.hopf_trees import (
     bplus_ordered,
     ck_antipode,
     ck_coproduct,
-    ck_coproduct_recursive,
     ck_ops,
     cuts_of,
     forests_of_weight,
@@ -46,6 +46,8 @@ from hopftrees.trees import (
     ladder,
     planar_ladder,
 )
+
+from oracles import ck_coproduct_recursive, gl_product_oracle, kp_product_oracle
 
 CHERRY = RootedTree([DOT, DOT])
 L2, L3 = ladder(2), ladder(3)
@@ -84,6 +86,37 @@ def test_gl_unit_laws():
         for t in enumerate_rooted(n):
             assert gl_product(DOT, t) == LinComb.term(QQ, t)
             assert gl_product(t, DOT) == LinComb.term(QQ, t)
+
+
+def _pairs_upto(enumerate_trees, total):
+    """Every pair of trees whose degrees sum to at most total."""
+    for a in range(total + 1):
+        for b in range(total - a + 1):
+            for t in enumerate_trees(a):
+                for u in enumerate_trees(b):
+                    yield t, u
+
+
+def test_gl_product_matches_assignment_oracle():
+    pairs = list(_pairs_upto(enumerate_rooted, 7))
+    assert len(pairs) == 790
+    for t, u in pairs:
+        assert gl_product(t, u) == gl_product_oracle(t, u), (t, u)
+
+
+def test_gl_product_counts_every_assignment():
+    # each of the k root branches of t goes to one of the |u| vertices
+    for t, u in _pairs_upto(enumerate_rooted, 8):
+        prod = gl_product(t, u)
+        assert sum(prod.terms.values()) == u.size ** len(t.children), (t, u)
+
+
+def test_gl_product_of_a_large_bush():
+    # 7 equal branches on the 8 vertices of a ladder: one tree for each of
+    # the C(14, 7) multisets of vertices, out of the 8^7 assignments
+    prod = gl_product(RootedTree([DOT] * 7), ladder(8))
+    assert len(prod.terms) == comb(14, 7) == 3432
+    assert sum(prod.terms.values()) == 8**7
 
 
 def test_gl_coproduct_examples():
@@ -247,6 +280,21 @@ def test_kp_product_paper_displays():
     assert rhs == LinComb(
         QQ, {t("<><><>"): 3, t("<><<>>"): 1, t("<<>><>"): 1}
     )
+
+
+def test_kp_product_matches_bracket_shuffle_oracle():
+    pairs = list(_pairs_upto(enumerate_planar, 6))
+    assert len(pairs) == 625
+    for t, u in pairs:
+        assert kp_product(t, u) == kp_product_oracle(t, u), (t, u)
+
+
+def test_kp_product_counts_every_shuffle():
+    # the k components of t, in order, among the 2|u| - 2 symbols of u
+    for t, u in _pairs_upto(enumerate_planar, 7):
+        k = len(t.children)
+        prod = kp_product(t, u)
+        assert sum(prod.terms.values()) == comb(k + 2 * u.size - 2, k), (t, u)
 
 
 def test_kp_unit_laws():

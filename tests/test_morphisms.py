@@ -143,15 +143,13 @@ MORPHISMS = {
 }
 
 
-@pytest.mark.parametrize("name", MORPHISMS)
-def test_diagram_check_catches_one_wrong_morphism_coefficient(monkeypatch, name):
-    """1 added to one coefficient of the image of one degree-2 basis element
-    y, extended linearly; diagram_check reaches the maps through the
-    morphisms module's globals."""
-    label, diagram, domain = MORPHISMS[name]
-    assert diagram_check(diagram, 3).passed
+def _corrupt(monkeypatch, name):
+    """Add 1 to one coefficient of the image under the named map of one
+    degree-2 basis element y, extended linearly: x maps to
+    f(x) + x.coeff(y)*target.  diagram_check reaches the maps through the
+    morphisms module's globals.  Returns (y, target)."""
     f = getattr(morphisms, name)
-    dom = domain(QQ)
+    dom = MORPHISMS[name][2](QQ)
     y = next(b for b in dom.basis(2) if not f(dom.term(b)).is_zero())
     target = f(dom.term(y)).sorted_terms()[0][0]
 
@@ -161,10 +159,41 @@ def test_diagram_check_catches_one_wrong_morphism_coefficient(monkeypatch, name)
         return f(x) + LinComb.term(x.ring, target, x.coeff(y))
 
     monkeypatch.setattr(morphisms, name, corrupted)
+    return y, target
+
+
+@pytest.mark.parametrize("name", MORPHISMS)
+def test_diagram_check_catches_one_wrong_morphism_coefficient(monkeypatch, name):
+    label, diagram, _ = MORPHISMS[name]
+    assert diagram_check(diagram, 3).passed
+    _corrupt(monkeypatch, name)
     failed = [e.law for e in diagram_check(diagram, 3).entries if not e.ok]
     assert failed
     # only laws of the corrupted map and the square itself fail
     assert all(law.startswith(f"{label}: ") or " = " in law for law in failed)
+
+
+def test_square_witness_shows_lhs_minus_rhs(monkeypatch):
+    """phi, the last arrow of rho(Phi(E)) = phi(tau(E)), corrupted: the right
+    side of the square at E moves by c*target, where c is the coefficient of
+    y in tau(E), so the witness shows that one term of lhs - rhs and not the
+    two whole sides."""
+    from hopftrees.symfun import compositions_of
+
+    y, target = _corrupt(monkeypatch, "phi")
+    entries = {e.law: e for e in diagram_check("d1", 3).entries}
+    nsym = nsym_ops(QQ)
+    failed = 0
+    for word in (w for n in range(4) for w in compositions_of(n)):
+        entry = entries[f"rho(Phi(E{word.parts})) = phi(tau(E{word.parts}))"]
+        c = tau(nsym.term(word)).coeff(y)
+        if c:
+            diff = LinComb.term(QQ, target, -c).render()
+            assert entry.witness == f"{word!r}; lhs - rhs = {diff}"
+            failed += 1
+        else:
+            assert entry.ok and entry.witness is None
+    assert failed
 
 
 def test_square_commutation_at_weight_six():
