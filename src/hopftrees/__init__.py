@@ -45,9 +45,7 @@ from .freemodule import (
 from .hopf_trees import (
     Cut,
     bminus,
-    bminus_ordered,
     bplus,
-    bplus_ordered,
     ck_antipode,
     ck_coproduct,
     ck_ops,
@@ -76,7 +74,6 @@ from .symfun import (
     qsym_coproduct,
     qsym_ops,
     qsym_product,
-    series_oracle,
     sym_coproduct,
     sym_ops,
     sym_pairing,

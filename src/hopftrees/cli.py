@@ -36,7 +36,6 @@ from .freemodule import (
 )
 from .hopf_trees import (
     bplus,
-    bplus_ordered,
     ck_ops,
     gl_ops,
     hf_ops,
@@ -47,24 +46,17 @@ from .hopf_trees import (
     pairing_kt_hk,
 )
 from .scalar import ONE_POLY, Poly, QP, QQ, ZZ, signed_join
-from .symfun import (
-    Composition,
-    Partition,
-    nsym_ops,
-    qsym_ops,
-    sym_ops,
-    sym_pairing_elems,
-)
+from .symfun import nsym_ops, qsym_ops, sym_ops, sym_pairing_elems
 from .trees import (
     BBAParseError,
-    Forest,
-    OrderedForest,
+    PlanarTree,
     ResourceLimitError,
+    RootedTree,
+    _Forest,
     bba_decode,
     canonicalize,
     enumerate_planar,
     enumerate_rooted,
-    to_planar,
 )
 
 
@@ -76,6 +68,9 @@ class ExprParseError(ValueError):
 
 
 ALGEBRA_TAGS = ("gl", "ck", "pl", "foissy", "sym", "qsym", "nsym")
+
+# the letter of each symmetric-function algebra's basis token
+_BASIS_LETTERS = {"sym": "m", "qsym": "M", "nsym": "E"}
 
 
 class Expr:
@@ -275,35 +270,27 @@ class _Parser:
         self.error("expected a monomial")
 
     def _trees_to_monomial(self, trees) -> LinComb:
-        if self.algebra == "gl":
+        basis = type(_ops_for(self.algebra, self.ring).unit)
+        tree = getattr(basis, "tree", basis)  # a forest basis names its trees
+        if tree not in (RootedTree, PlanarTree):
+            self.error(f"tree literals do not belong to the {self.algebra} algebra")
+        if tree is RootedTree:
+            trees = [canonicalize(t) for t in trees]
+        if basis is tree:
             if len(trees) != 1:
-                self.error("the grafting algebra has single trees as basis")
-            return LinComb.term(self.ring, canonicalize(trees[0]))
-        if self.algebra == "pl":
-            if len(trees) != 1:
-                self.error("the planar tree algebra has single trees as basis")
+                name = "grafting" if tree is RootedTree else "planar tree"
+                self.error(f"the {name} algebra has single trees as basis")
             return LinComb.term(self.ring, trees[0])
-        if self.algebra == "ck":
-            return LinComb.term(self.ring, Forest(canonicalize(t) for t in trees))
-        if self.algebra == "foissy":
-            return LinComb.term(self.ring, OrderedForest(trees))
-        self.error(f"tree literals do not belong to the {self.algebra} algebra")
+        return LinComb.term(self.ring, basis(trees))
 
     def _symtoken(self, kind: str, parts, start: int) -> LinComb:
         if any(x < 1 for x in parts):
             self.error("basis indices must be positive", start)
-        if kind == "m":
-            if self.algebra != "sym":
-                self.error(f"token m[..] does not belong to {self.algebra}", start)
-            return LinComb.term(self.ring, Partition(parts))
-        if kind == "M":
-            if self.algebra != "qsym":
-                self.error(f"token M[..] does not belong to {self.algebra}", start)
-            return LinComb.term(self.ring, Composition(parts))
-        if kind == "E":
-            if self.algebra != "nsym":
-                self.error(f"token E[..] does not belong to {self.algebra}", start)
-            return LinComb.term(self.ring, Composition(parts))
+        if kind in "mME":
+            if _BASIS_LETTERS.get(self.algebra) != kind:
+                self.error(f"token {kind}[..] does not belong to {self.algebra}", start)
+            basis = type(_ops_for(self.algebra, self.ring).unit)
+            return LinComb.term(self.ring, basis(parts))
         if kind in ("e", "h", "p"):
             if self.algebra != "sym":
                 self.error(f"token {kind}[..] does not belong to {self.algebra}", start)
@@ -394,25 +381,16 @@ def parse_expr(text: str, algebra: str, scalars: str = "rational") -> Expr:
 
 
 def render_basis(b, algebra: str) -> str:
-    if algebra == "gl":
-        return f"({to_planar(b).bba})"
-    if algebra == "pl":
-        return f"({b.bba})"
-    if algebra == "ck":
-        if not b.trees:
+    """Parseable text of b, a basis element of the tagged algebra."""
+    if algebra in _BASIS_LETTERS:
+        if not b.parts:
             return "1"
-        return "".join(f"({to_planar(t).bba})" for t in b.trees)
-    if algebra == "foissy":
-        if not b.trees:
-            return "1"
-        return "".join(f"({t.bba})" for t in b.trees)
-    if algebra == "sym":
-        return "m[%s]" % ",".join(map(str, b.parts)) if b.parts else "1"
-    if algebra == "qsym":
-        return "M[%s]" % ",".join(map(str, b.parts)) if b.parts else "1"
-    if algebra == "nsym":
-        return "E[%s]" % ",".join(map(str, b.parts)) if b.parts else "1"
-    raise ValueError(algebra)
+        return "%s[%s]" % (_BASIS_LETTERS[algebra], ",".join(map(str, b.parts)))
+    if algebra not in ALGEBRA_TAGS:
+        raise ValueError(algebra)
+    if isinstance(b, _Forest):
+        return "".join(f"({t.bba})" for t in b.trees) or "1"
+    return f"({b.bba})"
 
 
 def _render_coeff(c, ring) -> tuple[bool, str]:
@@ -449,9 +427,6 @@ def render_lincomb(x: LinComb, algebra: str) -> str:
     return signed_join(pieces)
 
 
-render_tensor = render_lincomb
-
-
 def lincomb_json(x: LinComb, algebra: str) -> list:
     return [
         {"monomial": render_basis(b, algebra), "coeff": x.ring.render(c)}
@@ -464,12 +439,9 @@ def lincomb_json(x: LinComb, algebra: str) -> list:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.kind == "planar":
-        for t in enumerate_planar(args.n):
-            print(f"({t.bba})")
-    else:
-        for t in enumerate_rooted(args.n):
-            print(f"({to_planar(t).bba})")
+    enumerate_trees = enumerate_planar if args.kind == "planar" else enumerate_rooted
+    for t in enumerate_trees(args.n):
+        print(f"({t.bba})")
     return 0
 
 
@@ -610,9 +582,7 @@ def _suite_axioms(n: int):
 def _suite_duality(n: int):
     return [
         duality_check(ck_ops(ZZ), gl_ops(ZZ), bplus, pairing_hk, pairing_kt_hk, n),
-        duality_check(
-            hf_ops(ZZ), kp_ops(ZZ), bplus_ordered, pairing_hf, pairing_kp_hf, n
-        ),
+        duality_check(hf_ops(ZZ), kp_ops(ZZ), bplus, pairing_hf, pairing_kp_hf, n),
     ]
 
 

@@ -11,17 +11,10 @@ polynomial evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .freemodule import LinComb, Report, TensorElem, accumulate
-from .hopf_trees import (
-    bplus,
-    bplus_ordered,
-    ck_ops,
-    hf_ops,
-)
+from .hopf_trees import bplus, ck_ops, hf_ops
 from .scalar import ONE_POLY, Poly, QQ, QP, binom_of, binom_poly, poly_eval
 from .special import multinomial
 from .symfun import compositions_of_length, partitions_of
@@ -30,12 +23,10 @@ from .trees import (
     EMPTY_ORDERED,
     Forest,
     OrderedForest,
-    RootedTree,
     embedding_count,
     enumerate_planar,
     enumerate_rooted,
     ladder,
-    sym_order,
 )
 
 
@@ -78,8 +69,8 @@ def _binom_product(counts: tuple) -> Poly:
     return acc
 
 
-def _fixed_point(ops, forest, graft, max_degree: int) -> dict:
-    """Degree-by-degree fixed-point recursion in one forest algebra.
+def _fixed_point(ops, max_degree: int) -> dict:
+    """Degree-by-degree fixed-point recursion in the forest algebra of ops.
 
     The first term is the single vertex; the part of degree n+1 is the sum
     over 1 <= k <= n of binom(p, k) applied to the root-grafting of Y_k[n],
@@ -90,11 +81,11 @@ def _fixed_point(ops, forest, graft, max_degree: int) -> dict:
     """
 
     def grafted(f):
-        return forest((graft(f),))
+        return type(f)((bplus(f),))
 
     x = {}
     if max_degree >= 1:
-        x[1] = LinComb.term(QP, grafted(forest()))
+        x[1] = LinComb.term(QP, grafted(ops.unit))
     powers = {}  # (k, n) -> Y_k[n]
     for n in range(1, max_degree):
         powers[1, n] = x[n]
@@ -117,8 +108,8 @@ def solve_recursive(max_degree: int) -> DSESolution:
     equation in H_K and equals the H_K part; computing that part directly
     needs only the rooted trees, not the Catalan-many planar ones."""
     sol = DSESolution(max_degree)
-    sol.hf_terms = _fixed_point(hf_ops(QP), OrderedForest, bplus_ordered, max_degree)
-    sol.hk_terms = _fixed_point(ck_ops(QP), Forest, bplus, max_degree)
+    sol.hf_terms = _fixed_point(hf_ops(QP), max_degree)
+    sol.hk_terms = _fixed_point(ck_ops(QP), max_degree)
     return sol
 
 
@@ -143,20 +134,6 @@ def solve_closed(max_degree: int) -> DSESolution:
             },
         )
     return sol
-
-
-def expanded_coefficient(t: RootedTree) -> Poly:
-    """The commutative coefficient in factored form: the product over internal
-    vertices of p(p-1)...(p-c(v)+1), divided by |Sym(t)|."""
-    acc = ONE_POLY
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        c = len(node.children)
-        if c:
-            acc = acc * binom_poly(c) * factorial(c)
-            stack.extend(node.children)
-    return acc * Fraction(1, sym_order(t))
 
 
 def _affine_argument(k: int) -> Poly:

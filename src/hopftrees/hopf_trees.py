@@ -27,6 +27,7 @@ from .trees import (
     PDOT,
     ResourceLimitError,
     RootedTree,
+    _Forest,
     enumerate_planar,
     enumerate_rooted,
     env_ceiling,
@@ -37,37 +38,18 @@ from .trees import (
 # grafting operators
 
 
-def bplus(f: Forest) -> RootedTree:
-    """Attach a new root over all trees of the forest; the empty forest maps to the
-    single vertex."""
-    return RootedTree(f.trees)
+def bplus(f):
+    """Attach a new root over all trees of the forest, giving a tree of the
+    forest's tree type; the empty forest maps to the single vertex."""
+    return f.tree(f.trees)
 
 
-def bminus(t: RootedTree) -> Forest:
-    """Inverse of bplus: the forest of root branches."""
-    if not isinstance(t, RootedTree):
-        raise TypeError("bminus needs a rooted tree, not the algebra unit")
-    return Forest(t.children)
-
-
-def bplus_ordered(f: OrderedForest) -> PlanarTree:
-    return PlanarTree(f.trees)
-
-
-def bminus_ordered(t: PlanarTree) -> OrderedForest:
-    if not isinstance(t, PlanarTree):
-        raise TypeError("bminus needs a planar tree, not the algebra unit")
-    return OrderedForest(t.children)
-
-
-def forests_of_weight(n: int):
-    """All commutative forests with n vertices total (degree-n basis of H_K)."""
-    return tuple(bminus(t) for t in enumerate_rooted(n))
-
-
-def ordered_forests_of_weight(n: int):
-    """All ordered forests of planar trees with n vertices total."""
-    return tuple(bminus_ordered(t) for t in enumerate_planar(n))
+def bminus(t):
+    """Inverse of bplus: the forest of root branches, of the tree's forest
+    type."""
+    if not isinstance(t, (RootedTree, PlanarTree)):
+        raise TypeError("bminus needs a tree, not the algebra unit")
+    return t.forest(t.children)
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +100,14 @@ def _cuts(tree, admissible_only):
 
 def cuts_of(tree, admissible_only: bool = False) -> list:
     """All 2^(edge count) cuts of a rooted or planar tree, or just the
-    admissible ones; the pieces have the tree's own type."""
+    admissible ones; the pieces have the tree's own type, and the fallen
+    part its forest type."""
     cap = env_ceiling(CUT_VERTEX_CAP)
     if tree.size > cap:
         raise ResourceLimitError(
             f"cut enumeration on {tree.size} vertices exceeds cap {cap}"
         )
-    forest = Forest if isinstance(tree, RootedTree) else OrderedForest
+    forest = tree.forest
     return [
         Cut(forest(fallen), root, weight, admissible)
         for root, fallen, weight, admissible in _cuts(tree, admissible_only)
@@ -266,25 +249,26 @@ def gl_ops(ring=QQ) -> HopfOps:
 # ---------------------------------------------------------------------------
 # forest algebras from the cuts of their trees
 #
-# H_K and H_F share one construction, parametrised by the forest type:
-# Forest over rooted trees for H_K, OrderedForest over planar trees for H_F.
-# cuts_of returns the fallen part in the forest type that matches the tree.
+# H_K and H_F share one construction: Forest over rooted trees for H_K,
+# OrderedForest over planar trees for H_F.  Each tree names its forest type,
+# and cuts_of returns the fallen part in it.
 
 
 def _extend_over_forest(x, tree_coproduct, ring) -> TensorElem:
-    """Extend tree_coproduct(t, forest type, ring) multiplicatively over the
-    trees of the forest x; the empty forest of x's type is the unit."""
+    """Extend tree_coproduct(t, ring) multiplicatively over the trees of the
+    forest x; the empty forest of x's type is the unit."""
     forest = type(x)
     acc = TensorElem.term(ring, forest(), forest())
     mul = MonomialProduct(ring)
     for t in x.trees:
-        acc = acc.mul(tree_coproduct(t, forest, ring), mul, mul)
+        acc = acc.mul(tree_coproduct(t, ring), mul, mul)
     return acc
 
 
-def _cut_coproduct(t, forest, ring) -> TensorElem:
+def _cut_coproduct(t, ring) -> TensorElem:
     """t x 1 plus fallen part x root part over the admissible cuts of t; the
     empty cut contributes 1 x t."""
+    forest = t.forest
     terms: dict = {(forest((t,)), forest()): 1}
     for cut in cuts_of(t, admissible_only=True):
         key = (cut.fallen, forest((cut.root_part,)))
@@ -292,7 +276,8 @@ def _cut_coproduct(t, forest, ring) -> TensorElem:
     return TensorElem(ring, terms)
 
 
-def _cut_antipode(t, forest, ring) -> LinComb:
+def _cut_antipode(t, ring) -> LinComb:
+    forest = t.forest
     terms: dict = {}
     for cut in cuts_of(t, admissible_only=False):
         f = cut.fallen.reverse().mul(forest((cut.root_part,)))
@@ -301,15 +286,15 @@ def _cut_antipode(t, forest, ring) -> LinComb:
     return LinComb(ring, terms)
 
 
-def _closed_antipode(x, forest, ring) -> LinComb:
+def _closed_antipode(x, ring) -> LinComb:
     """-sum over all cuts of (-1)^{|c|} reverse(P^c) R^c on a tree, extended
     to forests as an antiautomorphism (reversal is trivial on Forests)."""
-    if not isinstance(x, forest):
-        return _cut_antipode(x, forest, ring)
-    acc = LinComb.term(ring, forest())
+    if not isinstance(x, _Forest):
+        return _cut_antipode(x, ring)
+    acc = LinComb.term(ring, type(x)())
     mul = MonomialProduct(ring)
     for t in reversed(x.trees):
-        acc = acc.bilinear(mul, _cut_antipode(t, forest, ring))
+        acc = acc.bilinear(mul, _cut_antipode(t, ring))
     return acc
 
 
@@ -324,7 +309,7 @@ def ck_coproduct(x: Forest, ring=QQ) -> TensorElem:
 
 def ck_antipode(x, ring=QQ) -> LinComb:
     """Closed antipode formula on a rooted tree or a forest of them."""
-    return _closed_antipode(x, Forest, ring)
+    return _closed_antipode(x, ring)
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +319,7 @@ def ck_ops(ring=QQ) -> HopfOps:
         ring=ring,
         unit=EMPTY_FOREST,
         degree=lambda f: f.weight,
-        basis=forests_of_weight,
+        basis=lambda n: tuple(map(bminus, enumerate_rooted(n))),
         product=MonomialProduct(ring),
         coproduct=lambda f: ck_coproduct(f, ring),
         antipode=lambda f: ck_antipode(f, ring),
@@ -388,7 +373,7 @@ def hf_coproduct(x: OrderedForest, ring=QQ) -> TensorElem:
 def hf_antipode(x, ring=QQ) -> LinComb:
     """Closed antipode on a planar tree or an ordered forest, where the
     reversal of the fallen part and of the forest is not trivial."""
-    return _closed_antipode(x, OrderedForest, ring)
+    return _closed_antipode(x, ring)
 
 
 @lru_cache(maxsize=None)
@@ -398,7 +383,7 @@ def hf_ops(ring=QQ) -> HopfOps:
         ring=ring,
         unit=EMPTY_ORDERED,
         degree=lambda f: f.weight,
-        basis=ordered_forests_of_weight,
+        basis=lambda n: tuple(map(bminus, enumerate_planar(n))),
         product=MonomialProduct(ring),
         coproduct=lambda f: hf_coproduct(f, ring),
         antipode=lambda f: hf_antipode(f, ring),
@@ -424,4 +409,4 @@ def pairing_kp_hf(t: PlanarTree, u: PlanarTree) -> int:
 
 
 def pairing_hf(f: OrderedForest, g: OrderedForest) -> int:
-    return pairing_kp_hf(bplus_ordered(f), bplus_ordered(g))
+    return pairing_kp_hf(bplus(f), bplus(g))

@@ -7,7 +7,14 @@ Square two (d2), the dual: kT -> kP -> QSym agrees with kT -> Sym -> QSym.
 
 from __future__ import annotations
 
-from .freemodule import HopfOps, LinComb, Report, _pairs_upto, difference_witness
+from .freemodule import (
+    HopfOps,
+    LinComb,
+    Report,
+    _pairs_upto,
+    as_lincomb,
+    difference_witness,
+)
 from .scalar import QQ
 from .symfun import (
     Composition,
@@ -78,8 +85,7 @@ def _is_ladder(t) -> bool:
 def phi_star(x) -> LinComb:
     """kT -> Sym: a root over a forest of ladders with part sizes lambda maps
     to |Sym| times m_lambda, anything else to zero."""
-    if isinstance(x, RootedTree):
-        x = LinComb.term(QQ, x)
+    x = as_lincomb(QQ, x)
 
     def on_tree(t: RootedTree) -> LinComb:
         if all(_is_ladder(c) for c in t.children):
@@ -93,8 +99,7 @@ def phi_star(x) -> LinComb:
 def Phi_star(x) -> LinComb:
     """kP -> QSym: a root over ladders of sizes (i_1, ..., i_k) in order maps
     to the monomial quasi-symmetric function of that composition."""
-    if isinstance(x, PlanarTree):
-        x = LinComb.term(QQ, x)
+    x = as_lincomb(QQ, x)
 
     def on_tree(t: PlanarTree) -> LinComb:
         if all(_is_ladder(c) for c in t.children):
@@ -106,8 +111,7 @@ def Phi_star(x) -> LinComb:
 
 def rho_star(x) -> LinComb:
     """kT -> kP: |Sym(t)| times the sum of all planar realizations of t."""
-    if isinstance(x, RootedTree):
-        x = LinComb.term(QQ, x)
+    x = as_lincomb(QQ, x)
 
     def on_tree(t: RootedTree) -> LinComb:
         return LinComb(x.ring, {T: sym_order(t) for T in planar_realizations(t)})
@@ -117,8 +121,7 @@ def rho_star(x) -> LinComb:
 
 def tau_star(x) -> LinComb:
     """Sym -> QSym: the inclusion, summing M over all arrangements."""
-    if isinstance(x, Partition):
-        x = LinComb.term(QQ, x)
+    x = as_lincomb(QQ, x)
     return x.apply_linear(
         lambda lam: LinComb(x.ring, {c: 1 for c in distinct_arrangements(lam)})
     )

@@ -187,13 +187,6 @@ class Poly:
             scale *= vd
         return Fraction(acc, self.den * (scale // vd))
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """Substitute the polynomial ``inner`` for p."""
-        acc = ZERO_POLY
-        for c in reversed(self.num):
-            acc = acc * inner + c
-        return acc * Fraction(1, self.den)
-
     def __str__(self) -> str:
         return poly_str(self)
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import LinComb, Report, TensorElem, accumulate, freeze
+from .freemodule import LinComb, Report, TensorElem, accumulate, as_lincomb, freeze
 from .hopf_trees import bplus, cuts_of, gl_ops
 from .morphisms import phi_star, rho_star
 from .scalar import QQ, ZZ
@@ -54,8 +54,7 @@ def epsilon(n: int) -> LinComb:
 def natural_growth(x, k: int = 1) -> LinComb:
     """Apply t -> (2-vertex ladder) o t  k times: each step adds one new leaf
     at every vertex in all possible ways."""
-    if isinstance(x, RootedTree):
-        x = LinComb.term(QQ, x)
+    x = as_lincomb(QQ, x)
     gl = gl_ops(x.ring)
     grower = gl.term(ladder(2))
     for _ in range(k):

@@ -249,47 +249,6 @@ def qsym_ops(ring=QQ) -> HopfOps:
     )
 
 
-def series_oracle(x: LinComb, nvars: int, max_degree: int | None = None) -> dict:
-    """Expand a combination of M-basis elements as a truncated polynomial.
-
-    Returns {exponent vector of length nvars: coefficient}.  Raises if some
-    composition is longer than nvars (its expansion would be cut off) or
-    exceeds an explicit degree cap.  Only used as an independent test oracle.
-    """
-    out: dict[tuple, Fraction] = {}
-    for comp, coeff in x.terms.items():
-        if comp.length > nvars:
-            raise ValueError(
-                f"{comp!r} needs at least {comp.length} variables, got {nvars}"
-            )
-        if max_degree is not None and comp.weight > max_degree:
-            raise ValueError(f"{comp!r} exceeds the degree cap {max_degree}")
-        for positions in itertools.combinations(range(nvars), comp.length):
-            exps = [0] * nvars
-            for pos, part in zip(positions, comp.parts):
-                exps[pos] = part
-            key = tuple(exps)
-            new = out.get(key, Fraction(0)) + coeff
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def series_product(d1: dict, d2: dict) -> dict:
-    out: dict[tuple, Fraction] = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            new = out.get(key, Fraction(0)) + c1 * c2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sym
 

@@ -12,6 +12,11 @@ Conventions used throughout the package:
   once, keyed on its tuple of children or trees, so equal values are the
   same object and compare and hash by identity.
 * Forests are graded by total vertex count.
+* Each tree type names its forest type and back: ``RootedTree.forest`` is
+  Forest and ``PlanarTree.forest`` is OrderedForest, with ``Forest.tree``
+  and ``OrderedForest.tree`` the other way.  Both tree types have a bracket
+  string ``bba``; a rooted tree's is that of its canonical planar
+  realization.  Code that serves both kinds reads its types from the value.
 """
 
 from __future__ import annotations
@@ -67,11 +72,6 @@ def _by_key(items) -> tuple:
     return tuple(sorted(items, key=_KEY))
 
 
-def _forest_fields(ts) -> tuple:
-    """A forest's trees and its weight."""
-    return ts, sum(map(_SIZE, ts))
-
-
 class PlanarTree(Interned):
     """Planar rooted tree: an ordered sequence of planar subtrees under a root.
 
@@ -109,52 +109,63 @@ class RootedTree(Interned):
     def sort_key(self):
         return self.key
 
-    def __repr__(self):
-        return f"RootedTree({to_planar(self).bba!r})"
-
-
-class Forest(Interned):
-    """Commutative monomial of rooted trees, stored as a canonically sorted tuple."""
-
-    __slots__ = ("trees", "weight")
-    _canonical = staticmethod(_by_key)
-    _fields = staticmethod(_forest_fields)
-
     @property
-    def sort_key(self):
-        return (self.weight, tuple(t.key for t in self.trees))
-
-    def mul(self, other: "Forest") -> "Forest":
-        return Forest(self.trees + other.trees)
-
-    def reverse(self) -> "Forest":
-        """A commutative monomial is its own reversal."""
-        return self
+    def bba(self) -> str:
+        """The bracket string of the canonical planar realization."""
+        return to_planar(self).bba
 
     def __repr__(self):
-        return f"Forest({[to_planar(t).bba for t in self.trees]!r})"
+        return f"RootedTree({self.bba!r})"
 
 
-class OrderedForest(Interned):
-    """Ordered sequence of planar rooted trees; the H_F monomial basis."""
+class _Forest(Interned):
+    """A monomial of trees, ``trees``, graded by their total vertex count,
+    ``weight``.  Each subclass declares those two slots, names its tree type
+    as ``tree``, and gives the canonical order of the trees and the
+    reversal."""
 
-    __slots__ = ("trees", "weight")
-    _canonical = tuple
-    _fields = staticmethod(_forest_fields)
+    __slots__ = ()
+
+    @staticmethod
+    def _fields(ts):
+        return ts, sum(map(_SIZE, ts))
 
     @property
     def sort_key(self):
         return (self.weight, tuple(t.sort_key for t in self.trees))
 
-    def mul(self, other: "OrderedForest") -> "OrderedForest":
-        return OrderedForest(self.trees + other.trees)
+    def mul(self, other):
+        return type(self)(self.trees + other.trees)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[t.bba for t in self.trees]!r})"
+
+
+class Forest(_Forest):
+    """Commutative monomial of rooted trees, stored as a canonically sorted tuple."""
+
+    __slots__ = ("trees", "weight")
+    _canonical = staticmethod(_by_key)
+    tree = RootedTree
+
+    def reverse(self) -> "Forest":
+        """A commutative monomial is its own reversal."""
+        return self
+
+
+class OrderedForest(_Forest):
+    """Ordered sequence of planar rooted trees; the H_F monomial basis."""
+
+    __slots__ = ("trees", "weight")
+    _canonical = tuple
+    tree = PlanarTree
 
     def reverse(self) -> "OrderedForest":
         return OrderedForest(self.trees[::-1])
 
-    def __repr__(self):
-        return f"OrderedForest({[t.bba for t in self.trees]!r})"
 
+RootedTree.forest = Forest
+PlanarTree.forest = OrderedForest
 
 DOT = RootedTree()
 PDOT = PlanarTree()

@@ -1,4 +1,4 @@
-"""Brute-force oracles for the tree structure maps.
+"""Brute-force oracles for the structure maps.
 
 Each oracle computes what a library function computes by a different and
 slower route, so the tests can compare the two exhaustively on small
@@ -6,11 +6,13 @@ inputs.  None of them is part of the library.
 """
 
 import itertools
+from fractions import Fraction
+from math import factorial
 
 from hopftrees.freemodule import LinComb, TensorElem
 from hopftrees.hopf_trees import _extend_over_forest, bminus, bplus
-from hopftrees.scalar import QQ
-from hopftrees.trees import PlanarTree, RootedTree, bba_decode
+from hopftrees.scalar import ONE_POLY, Poly, QQ, binom_poly
+from hopftrees.trees import PlanarTree, RootedTree, bba_decode, sym_order
 
 # ---------------------------------------------------------------------------
 # grafting products
@@ -78,7 +80,8 @@ def kp_product_oracle(t: PlanarTree, u: PlanarTree, ring=QQ) -> LinComb:
 # the Connes-Kreimer coproduct by root extraction
 
 
-def _root_extraction(t: RootedTree, forest, ring) -> TensorElem:
+def _root_extraction(t: RootedTree, ring) -> TensorElem:
+    forest = t.forest
     inner = ck_coproduct_recursive(bminus(t), ring)
     terms: dict = {(forest((t,)), forest()): ring.one}
     for (a, b), c in inner.terms.items():
@@ -91,3 +94,75 @@ def ck_coproduct_recursive(x, ring=QQ) -> TensorElem:
     """The H_K coproduct by the root-extraction recursion
     D(t) = t x 1 + (id x bplus) D(bminus t), extended over the forest x."""
     return _extend_over_forest(x, _root_extraction, ring)
+
+
+# ---------------------------------------------------------------------------
+# quasi-symmetric functions as truncated power series
+
+
+def series_oracle(x: LinComb, nvars: int, max_degree: int | None = None) -> dict:
+    """Expand a combination of M-basis elements as a truncated polynomial.
+
+    Returns {exponent vector of length nvars: coefficient}.  Raises if some
+    composition is longer than nvars (its expansion would be cut off) or
+    exceeds an explicit degree cap.
+    """
+    out: dict[tuple, Fraction] = {}
+    for comp, coeff in x.terms.items():
+        if comp.length > nvars:
+            raise ValueError(
+                f"{comp!r} needs at least {comp.length} variables, got {nvars}"
+            )
+        if max_degree is not None and comp.weight > max_degree:
+            raise ValueError(f"{comp!r} exceeds the degree cap {max_degree}")
+        for positions in itertools.combinations(range(nvars), comp.length):
+            exps = [0] * nvars
+            for pos, part in zip(positions, comp.parts):
+                exps[pos] = part
+            key = tuple(exps)
+            new = out.get(key, Fraction(0)) + coeff
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+    return out
+
+
+def series_product(d1: dict, d2: dict) -> dict:
+    """The product of two truncated polynomials in series_oracle's form."""
+    out: dict[tuple, Fraction] = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            new = out.get(key, Fraction(0)) + c1 * c2
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial coefficients of the Dyson-Schwinger solution
+
+
+def expanded_coefficient(t: RootedTree) -> Poly:
+    """The commutative coefficient in factored form: the product over internal
+    vertices of p(p-1)...(p-c(v)+1), divided by |Sym(t)|."""
+    acc = ONE_POLY
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        c = len(node.children)
+        if c:
+            acc = acc * binom_poly(c) * factorial(c)
+            stack.extend(node.children)
+    return acc * Fraction(1, sym_order(t))
+
+
+def poly_compose(q: Poly, inner: Poly) -> Poly:
+    """q with the polynomial inner substituted for p, by Horner's rule."""
+    acc = Poly()
+    for c in reversed(q.num):
+        acc = acc * inner + c
+    return acc * Fraction(1, q.den)

@@ -13,7 +13,6 @@ from hopftrees.cli import (
     ExprParseError,
     parse_expr,
     render_lincomb,
-    render_tensor,
     run,
 )
 from hopftrees.freemodule import HopfOps, LinComb, Report, check_axioms
@@ -115,8 +114,8 @@ def test_render_parse_round_trip(algebra, text):
     # the same integral values over ZZ render alike
     over_z = expr.value.map_coeffs(ZZ.coerce, ZZ)
     assert render_lincomb(over_z, algebra) == rendered
-    assert render_tensor(cli._ops_for(algebra, ZZ).coproduct_lc(over_z), algebra) == (
-        render_tensor(cli._ops_for(algebra, QQ).coproduct_lc(expr.value), algebra)
+    assert render_lincomb(cli._ops_for(algebra, ZZ).coproduct_lc(over_z), algebra) == (
+        render_lincomb(cli._ops_for(algebra, QQ).coproduct_lc(expr.value), algebra)
     )
 
 
@@ -140,9 +139,9 @@ def test_golden_paper_displays():
         + render_lincomb(kp_product(bba_decode("<><>"), bba_decode("<>")), "pl"),
         "kp <> sh <><>: "
         + render_lincomb(kp_product(bba_decode("<>"), bba_decode("<><>")), "pl"),
-        "sym cop m[2,1,1]: " + render_tensor(sym_coproduct(Partition([2, 1, 1])), "sym"),
+        "sym cop m[2,1,1]: " + render_lincomb(sym_coproduct(Partition([2, 1, 1])), "sym"),
         "qsym cop M[2,1,1]: "
-        + render_tensor(qsym_coproduct(Composition([2, 1, 1])), "qsym"),
+        + render_lincomb(qsym_coproduct(Composition([2, 1, 1])), "qsym"),
         "m[2,1,1] in QSym: " + render_lincomb(tau_star(Partition([2, 1, 1])), "qsym"),
         "C_p of B+(. l2): " + poly_str(binom_poly(2) * P),
     ]
@@ -252,6 +251,8 @@ def test_cli_special_check(capsys):
 GOLDEN_TRANSCRIPTS = [
     (["check", "--suite", "all", "--max-degree", "3"], "check_all_d3.txt"),
     (["dse", "--max-degree", "5", "--check-coproduct"], "dse_d5_coproduct.txt"),
+    (["dse", "--max-degree", "5", "--algebra", "foissy"], "dse_d5_foissy.txt"),
+    (["enumerate", "--kind", "rooted", "-n", "5"], "enumerate_rooted_n5.txt"),
 ]
 
 

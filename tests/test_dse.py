@@ -6,7 +6,6 @@ from hopftrees.dse import (
     Q_poly,
     coproduct_theorem_check,
     cp_coefficient,
-    expanded_coefficient,
     ladder_specialization_holds,
     q_poly,
     solve_closed,
@@ -30,6 +29,8 @@ from hopftrees.trees import (
     ladder,
     planar_ladder,
 )
+
+from oracles import expanded_coefficient
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,6 @@ from hopftrees.freemodule import (
 )
 from hopftrees.hopf_trees import (
     bplus,
-    bplus_ordered,
     ck_antipode,
     ck_coproduct,
     ck_ops,
@@ -271,7 +270,7 @@ def test_axiom_and_duality_reports_agree_over_qq_and_zz():
         out = [check_axioms(factory(ring), 4) for factory, *_ in KERNELS]
         for forests, trees, bp, pair_f, pair_t in (
             (ck_ops, gl_ops, bplus, pairing_hk, pairing_kt_hk),
-            (hf_ops, kp_ops, bplus_ordered, pairing_hf, pairing_kp_hf),
+            (hf_ops, kp_ops, bplus, pairing_hf, pairing_kp_hf),
         ):
             out.append(duality_check(forests(ring), trees(ring), bp, pair_f, pair_t, 4))
         assert all(rep.passed for rep in out)

@@ -6,14 +6,11 @@ import pytest
 from hopftrees.freemodule import LinComb, TensorElem, generic_antipode, pairing_extend
 from hopftrees.hopf_trees import (
     bminus,
-    bminus_ordered,
     bplus,
-    bplus_ordered,
     ck_antipode,
     ck_coproduct,
     ck_ops,
     cuts_of,
-    forests_of_weight,
     gl_coproduct,
     gl_ops,
     gl_product,
@@ -22,7 +19,6 @@ from hopftrees.hopf_trees import (
     hf_ops,
     kp_coproduct,
     kp_product,
-    ordered_forests_of_weight,
     pairing_hf,
     pairing_hk,
     pairing_kp_hf,
@@ -45,6 +41,7 @@ from hopftrees.trees import (
     enumerate_rooted,
     ladder,
     planar_ladder,
+    to_planar,
 )
 
 from oracles import ck_coproduct_recursive, gl_product_oracle, kp_product_oracle
@@ -64,14 +61,22 @@ def test_bplus_bminus():
     assert bplus(EMPTY_FOREST) == DOT
     assert bminus(CHERRY) == Forest([DOT, DOT])
     assert bminus(bplus(Forest([CHERRY, L2]))) == Forest([CHERRY, L2])
-    assert bplus_ordered(EMPTY_ORDERED) == PDOT
-    assert bminus_ordered(bba_decode("<><<>>")) == OrderedForest(
+    assert bplus(EMPTY_ORDERED) == PDOT
+    assert bminus(bba_decode("<><<>>")) == OrderedForest(
         [PDOT, planar_ladder(2)]
     )
     with pytest.raises(TypeError):
         bminus(EMPTY_FOREST)
     with pytest.raises(TypeError):
-        bminus_ordered(EMPTY_ORDERED)
+        bminus(EMPTY_ORDERED)
+    # each forest type grafts to its own tree type
+    assert bplus(EMPTY_ORDERED) is PDOT
+    for n in range(7):
+        for f in ck_ops(QQ).basis(n) + hf_ops(QQ).basis(n):
+            assert bminus(bplus(f)) is f
+            assert type(bplus(f)) is f.tree
+        for t in enumerate_rooted(n):
+            assert t.bba == to_planar(t).bba
 
 
 def test_gl_product_paper_displays():
@@ -245,7 +250,7 @@ def test_ck_coproduct_recursive_base_case():
 
 @pytest.mark.parametrize("n", range(7))
 def test_ck_coproduct_two_formulas_agree(n):
-    for f in forests_of_weight(n):
+    for f in ck_ops(QQ).basis(n):
         assert ck_coproduct(f) == ck_coproduct_recursive(f)
 
 
@@ -260,7 +265,7 @@ def test_ck_antipode_examples():
 @pytest.mark.parametrize("n", range(6))
 def test_ck_antipode_matches_generic(n):
     ck = ck_ops(QQ)
-    for f in forests_of_weight(n):
+    for f in ck_ops(QQ).basis(n):
         assert ck_antipode(f) == generic_antipode(ck, f)
 
 
@@ -390,7 +395,7 @@ def hf_coproduct_subforest_oracle(forest: OrderedForest) -> TensorElem:
 
 @pytest.mark.parametrize("n", range(6))
 def test_hf_coproduct_matches_subforest_formula(n):
-    for f in ordered_forests_of_weight(n):
+    for f in hf_ops(QQ).basis(n):
         assert hf_coproduct(f) == hf_coproduct_subforest_oracle(f)
 
 
@@ -406,7 +411,7 @@ def test_hf_antipode_examples():
 @pytest.mark.parametrize("n", range(6))
 def test_hf_antipode_matches_generic(n):
     hf = hf_ops(QQ)
-    for f in ordered_forests_of_weight(n):
+    for f in hf_ops(QQ).basis(n):
         assert hf_antipode(f) == generic_antipode(hf, f)
 
 
@@ -457,7 +462,7 @@ def test_duality_identity_commutative(total):
     # (u x v, D(w)) = (B+(u) o B+(v), B+(w)) over all forest triples
     from hopftrees.freemodule import tensor_pairing
 
-    by_weight = {n: forests_of_weight(n) for n in range(total + 1)}
+    by_weight = {n: ck_ops(QQ).basis(n) for n in range(total + 1)}
     gl = gl_ops(QQ)
     for a in range(total + 1):
         for b in range(total - a + 1):
@@ -486,7 +491,7 @@ def test_planar_multiplicity_interpretation():
                 key = (cut.fallen, cut.root_part)
                 cut_counts[key] = cut_counts.get(key, 0) + 1
             for (f, t), count in cut_counts.items():
-                coeff = kp_product(bplus_ordered(f), t).coeff(target)
+                coeff = kp_product(bplus(f), t).coeff(target)
                 assert coeff == count
 
 

