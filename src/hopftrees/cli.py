@@ -538,7 +538,16 @@ def _cmd_special(args) -> int:
     raise ValueError(args.what)
 
 
+def _specialization(text: str) -> Fraction:
+    """The rational value of --p; a malformed one is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in --p {text}") from None
+
+
 def _cmd_dse(args) -> int:
+    value = None if args.p is None else _specialization(args.p)
     sol = dse_mod.solve_recursive(args.max_degree)
     closed = dse_mod.solve_closed(args.max_degree)
     reports = [_consistency_report(sol, closed)]
@@ -550,8 +559,7 @@ def _cmd_dse(args) -> int:
         )
     algebra = "ck" if args.algebra == "ck" else "foissy"
     terms = sol.hk_terms if algebra == "ck" else sol.hf_terms
-    if args.p is not None:
-        value = Fraction(args.p)
+    if value is not None:
         terms = {n: dse_mod.specialize(x, value) for n, x in terms.items()}
     if args.format == "json":
         payload = [

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .freemodule import LinComb, Report, TensorElem, accumulate
+from .freemodule import LinComb, Report, TensorElem, accumulate, difference_witness
 from .hopf_trees import bplus, ck_ops, hf_ops
 from .scalar import ONE_POLY, Poly, QQ, QP, binom_of, binom_poly, poly_eval
 from .special import multinomial
@@ -210,20 +210,19 @@ def coproduct_theorem_check(
         return formula_sides(ck, sol.hk, q_poly, n)
 
     def hk_case(n):
-        lhs, rhs = hk_sides(n)
-        return None if lhs == rhs else f"n={n}"
+        return difference_witness(f"n={n}", *hk_sides(n))
 
     rep.law("commutative coproduct formula", range(1, max_degree_hk + 1), hk_case)
 
     def hf_case(n):
         lhs, rhs = formula_sides(hf, sol.hf, Q_poly, n)
-        return None if lhs == rhs else f"n={n}"
+        return difference_witness(f"n={n}", lhs, rhs)
 
     rep.law("planar coproduct formula", range(1, max_degree_hf + 1), hf_case)
 
     def eval_case(n):
         lhs, rhs = hk_sides(n)
-        return None if specialize(lhs, 2) == specialize(rhs, 2) else f"n={n}"
+        return difference_witness(f"n={n}", specialize(lhs, 2), specialize(rhs, 2))
 
     rep.law("rational specialization at p=2", range(1, min(max_degree_hk, 5) + 1), eval_case)
     return rep

@@ -25,7 +25,11 @@ def _check_ring(a, b):
     if a._kind is not b._kind:
         raise TypeError(f"cannot mix a {a._kind.__name__} and a {b._kind.__name__}")
     if a.ring is not b.ring:
-        raise RingMismatchError(f"mixed scalar rings {a.ring.name} and {b.ring.name}")
+        raise _ring_mismatch(a.ring, b.ring)
+
+
+def _ring_mismatch(r: Ring, s: Ring) -> RingMismatchError:
+    return RingMismatchError(f"mixed scalar rings {r.name} and {s.name}")
 
 
 class Interned:
@@ -82,19 +86,14 @@ class LinComb:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms=None):
-        data = {}
-        if terms:
-            for b, c in terms.items() if isinstance(terms, dict) else terms:
-                c = ring.coerce(c)
-                if not ring.is_zero(c):
-                    if b in data:
-                        c = data[b] + c
-                        if ring.is_zero(c):
-                            del data[b]
-                            continue
-                    data[b] = c
         self.ring = ring
-        self.terms = data
+        self.terms = {}
+        if terms:
+            pairs = terms.items() if isinstance(terms, dict) else terms
+            coerce = ring.coerce
+            # each value coerced into the ring, zeros left out
+            pairs = [(b, c) for b, v in pairs if (c := coerce(v))]
+            _add_into(self.terms, pairs, 1)
 
     @classmethod
     def _of(cls, ring: Ring, terms: dict) -> "LinComb":
@@ -138,7 +137,7 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         _check_ring(self, other)
         out = dict(self.terms)
-        _add_into(out, other.terms, self.ring.one)
+        _add_into(out, other.terms.items(), 1)
         return self._of(self.ring, out)
 
     def __neg__(self) -> "LinComb":
@@ -165,27 +164,47 @@ class LinComb:
         return hash((self.ring.name, frozenset(self.terms.items())))
 
     def apply_linear(self, f, out_ring: Ring | None = None) -> "LinComb":
-        """Extend the basis map f (basis -> basis or LinComb) linearly."""
+        """Extend the basis map f (basis -> basis or LinComb) linearly; a
+        basis image enters as one term."""
         ring = out_ring or self.ring
         acc = LinComb.zero(ring)
         for b, c in self.terms.items():
-            accumulate(acc, as_lincomb(ring, f(b)), c)
+            img = f(b)
+            if isinstance(img, LinComb):
+                accumulate(acc, img, c)
+            else:
+                _add_into(acc.terms, ((img, ring.coerce(c)),), 1)
         return acc
 
     def map_coeffs(self, f, out_ring: Ring) -> "LinComb":
         return self._kind(out_ring, {b: f(c) for b, c in self.terms.items()})
 
     def bilinear(self, f, other: "LinComb") -> "LinComb":
-        """Sum of c1*c2*f(b1, b2) over all pairs of terms; f returns a LinComb."""
+        """Sum of c1*c2*f(b1, b2) over all pairs of terms; f returns a LinComb.
+
+        Each pair's image goes straight into the result: a MonomialProduct
+        over this ring gives the one term (b1.mul(b2), c1*c2), and any other
+        f its image's terms, scaled unless c1*c2 is 1."""
         _check_ring(self, other)
         ring = self.ring
         out = {}
+        if _monomial(f, ring):
+            _add_into(
+                out,
+                (
+                    (b1.mul(b2), c1 * c2)
+                    for b1, c1 in self.terms.items()
+                    for b2, c2 in other.terms.items()
+                ),
+                1,
+            )
+            return LinComb._of(ring, out)
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
                 img = f(b1, b2)
                 if img.ring is not ring:
                     _check_ring(self, img)
-                _add_into(out, img.terms, c1 * c2)
+                _add_into(out, img.terms.items(), c1 * c2)
         return LinComb._of(ring, out)
 
     def render(self, basis_str=repr) -> str:
@@ -251,16 +270,41 @@ class TensorElem(LinComb):
         return acc
 
     def mul(self, other: "TensorElem", prod_left, prod_right) -> "TensorElem":
-        """Componentwise product: (a x b)(a' x b') = (aa') x (bb')."""
+        """Componentwise product: (a x b)(a' x b') = (aa') x (bb').
+
+        The pair of terms (a x b, c) and (a2 x b2, c2) adds ((k1, k2),
+        v1*v2*c*c2) over the terms of its two side products straight into the
+        result, or, when both products are MonomialProducts over this ring,
+        the one term ((a.mul(a2), b.mul(b2)), c*c2)."""
         _check_ring(self, other)
         ring = self.ring
         out = {}
+        if _monomial(prod_left, ring) and _monomial(prod_right, ring):
+            _add_into(
+                out,
+                (
+                    ((a.mul(a2), b.mul(b2)), c * c2)
+                    for (a, b), c in self.terms.items()
+                    for (a2, b2), c2 in other.terms.items()
+                ),
+                1,
+            )
+            return TensorElem._of(ring, out)
         for (a, b), c in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                pair = TensorElem.tensor(prod_left(a, a2), prod_right(b, b2))
-                if pair.ring is not ring:
-                    _check_ring(self, pair)
-                _add_into(out, pair.terms, c * c2)
+                left, right = prod_left(a, a2), prod_right(b, b2)
+                _check_ring(left, right)
+                if left.ring is not ring:
+                    raise _ring_mismatch(ring, left.ring)
+                _add_into(
+                    out,
+                    (
+                        ((k1, k2), v1 * v2)
+                        for k1, v1 in left.terms.items()
+                        for k2, v2 in right.terms.items()
+                    ),
+                    c * c2,
+                )
         return TensorElem._of(ring, out)
 
 
@@ -284,21 +328,30 @@ def accumulate(acc, x, c) -> None:
     _check_ring(acc, x)
     c = acc.ring.coerce(c)
     if c:
+        pairs = x.terms.items()
         # acc += c * acc must not read the dict it is deleting from
-        _add_into(acc.terms, dict(x.terms) if x is acc else x.terms, c)
+        _add_into(acc.terms, list(pairs) if x is acc else pairs, c)
 
 
-def _add_into(terms: dict, other, c) -> None:
-    """terms += c * other, in place: the one accumulation step of the module.
+def _monomial(f, ring) -> bool:
+    """Whether the product f is the monomial product over ring, whose image
+    of two basis elements is their single product term."""
+    return isinstance(f, MonomialProduct) and f.ring is ring
 
-    terms and other map keys to nonzero elements of one ring, and c is a
-    nonzero element of it.  The rings are integral domains, so c * v is
-    nonzero; a sum that cancels leaves the dict.  A ring element is false
-    exactly when it is zero.
+
+def _add_into(terms: dict, pairs, c) -> None:
+    """terms += c * pairs, in place: the one accumulation step of the module.
+
+    terms maps keys to nonzero elements of one ring, pairs yields (key,
+    value) pairs with value a nonzero element of it, a key possibly
+    repeating, and c is a nonzero element of it or the int 1.  The rings are
+    integral domains, so c * v is nonzero; a sum that cancels leaves the
+    dict.  A ring element is false exactly when it is zero.  A c equal to 1
+    multiplies nothing, which spares a Fraction or Poly product per term.
     """
     get = terms.get
     scaled = c != 1
-    for b, v in other.items():
+    for b, v in pairs:
         if scaled:
             v = v * c
         s = get(b)
@@ -359,7 +412,9 @@ def freeze(x, table=None):
 class MonomialProduct:
     """The product of a free monoid algebra: two basis monomials multiply to
     the single monomial a.mul(b).  HopfOps does not memoise it, because each
-    result is one term with nothing to reuse."""
+    result is one term with nothing to reuse, and LinComb.bilinear and
+    TensorElem.mul, given one over their own ring, add that term for each
+    pair without calling it."""
 
     __slots__ = ("ring",)
 
@@ -557,14 +612,16 @@ _WITNESS_TERMS = 3
 
 def difference_witness(case, lhs: LinComb, rhs: LinComb):
     """None when the combinations lhs and rhs of one kind are equal, else the
-    one-line ASCII witness: repr(case), then the first three sorted terms of
-    lhs - rhs and, when there are more, their number."""
+    one-line ASCII witness: repr(case), or case itself when it is a string,
+    then the first three sorted terms of lhs - rhs and, when there are more,
+    their number."""
     if lhs == rhs:
         return None
     diff = (lhs - rhs).sorted_terms()
     head = lhs._of(lhs.ring, dict(diff[:_WITNESS_TERMS])).render()
     more = f" ... ({len(diff)} terms)" if len(diff) > _WITNESS_TERMS else ""
-    return f"{case!r}; lhs - rhs = {head}{more}"
+    label = case if isinstance(case, str) else repr(case)
+    return f"{label}; lhs - rhs = {head}{more}"
 
 
 def _pairs_upto(by_deg, total):
@@ -671,14 +728,9 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
         left = {}
         right = {}
         for (x, y), c in h.coproduct(b).terms.items():
-            for (u, v), d in h.coproduct(x).terms.items():
-                key = (u, v, y)
-                left[key] = left.get(key, h.ring.zero) + c * d
-            for (u, v), d in h.coproduct(y).terms.items():
-                key = (x, u, v)
-                right[key] = right.get(key, h.ring.zero) + c * d
-        left = {k: v for k, v in left.items() if not h.ring.is_zero(v)}
-        right = {k: v for k, v in right.items() if not h.ring.is_zero(v)}
+            cx, cy = h.coproduct(x).terms.items(), h.coproduct(y).terms.items()
+            _add_into(left, (((u, v, y), d) for (u, v), d in cx), c)
+            _add_into(right, (((x, u, v), d) for (u, v), d in cy), c)
         if left != right:
             return repr(b)
         return None

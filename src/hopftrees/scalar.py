@@ -91,6 +91,10 @@ class Poly:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
+        if type(other) is int:
+            # the free modules test every scale factor against 1: build no Poly
+            num = self.num
+            return self.den == 1 and (num == (other,) if other else not num)
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
@@ -271,10 +275,10 @@ def signed_join(pieces) -> str:
 class Ring:
     """Scalar-ring descriptor shared by all free-module containers.
 
-    Elements themselves carry the arithmetic (via operators); the ring object
-    supplies the constants, coercion from plain ints, zero tests and text
-    rendering, and acts as a tag so that combinations over different scalar
-    rings cannot be mixed accidentally.
+    Elements themselves carry the arithmetic (via operators), and an element
+    is false exactly when it is zero; the ring object supplies the constants,
+    coercion from plain ints and text rendering, and acts as a tag so that
+    combinations over different scalar rings cannot be mixed accidentally.
     """
 
     __slots__ = ("name", "zero", "one", "_coerce", "_render")
@@ -288,9 +292,6 @@ class Ring:
 
     def coerce(self, x):
         return self._coerce(x)
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def render(self, a) -> str:
         return self._render(a)

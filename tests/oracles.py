@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from hopftrees.freemodule import LinComb, TensorElem
+from hopftrees.freemodule import LinComb, TensorElem, accumulate, as_lincomb
 from hopftrees.hopf_trees import _extend_over_forest, bminus, bplus
 from hopftrees.scalar import ONE_POLY, Poly, QQ, binom_poly
 from hopftrees.trees import PlanarTree, RootedTree, bba_decode, sym_order
@@ -74,6 +74,44 @@ def kp_product_oracle(t: PlanarTree, u: PlanarTree, ring=QQ) -> LinComb:
         tree = bba_decode("".join(merged))
         counts[tree] = counts.get(tree, 0) + 1
     return LinComb(ring, counts)
+
+
+# ---------------------------------------------------------------------------
+# the free-module kernels, one combination per pair
+#
+# These are the routes bilinear, TensorElem.mul and apply_linear took before
+# each pair's image went straight into the result: every image is a whole
+# combination, added by accumulate with all its checks.
+
+
+def bilinear_per_pair(f, a: LinComb, b: LinComb) -> LinComb:
+    """Sum of c1*c2*f(b1, b2), each image accumulated on its own."""
+    acc = LinComb.zero(a.ring)
+    for b1, c1 in a.terms.items():
+        for b2, c2 in b.terms.items():
+            accumulate(acc, f(b1, b2), c1 * c2)
+    return acc
+
+
+def tensor_mul_per_pair(s: TensorElem, t: TensorElem, prod_left, prod_right):
+    """(a x b)(a' x b') = (aa') x (bb'), each pair's tensor of side products
+    built and accumulated on its own."""
+    acc = TensorElem.zero(s.ring)
+    for (a, b), c in s.terms.items():
+        for (a2, b2), c2 in t.terms.items():
+            pair = TensorElem.tensor(prod_left(a, a2), prod_right(b, b2))
+            accumulate(acc, pair, c * c2)
+    return acc
+
+
+def apply_linear_per_term(x: LinComb, f, out_ring=None) -> LinComb:
+    """The linear extension of f, a basis image made a one-term combination
+    before it is accumulated."""
+    ring = out_ring or x.ring
+    acc = LinComb.zero(ring)
+    for b, c in x.terms.items():
+        accumulate(acc, as_lincomb(ring, f(b)), c)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,7 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert run(["nonsense"]) == 2
     assert run(["enumerate", "--kind", "rooted", "-n", "99"]) == 2
+    assert run(["dse", "--max-degree", "3", "--p", "1/0"]) == 2
 
 
 def test_cli_resource_vs_check_exit():

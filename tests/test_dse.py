@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopftrees import dse
 from hopftrees.dse import (
     Q_poly,
     coproduct_theorem_check,
@@ -177,6 +178,32 @@ def test_coproduct_display_degree_two(sol):
 def test_coproduct_theorem_small(sol):
     rep = coproduct_theorem_check(4, 4, sol)
     assert rep.passed, [e.line() for e in rep.entries if not e.ok]
+
+
+@pytest.mark.parametrize(
+    "name, laws",
+    [
+        ("q_poly", {"commutative coproduct formula", "rational specialization at p=2"}),
+        ("Q_poly", {"planar coproduct formula"}),
+    ],
+)
+def test_coproduct_formula_laws_show_the_difference(monkeypatch, sol, name, laws):
+    """One term added to the closed coefficient q_{3,1}, or Q_{3,1}: the
+    formula laws built from it fail at n=3, each witness showing lhs - rhs,
+    a combination of tensor pairs."""
+    exact = getattr(dse, name)
+
+    def corrupted(n, k, sol):
+        out = exact(n, k, sol)
+        if (n, k) == (3, 1):
+            out = out + LinComb.term(QP, out.sorted_terms()[0][0])
+        return out
+
+    monkeypatch.setattr(dse, name, corrupted)
+    failed = {e.law: e.witness for e in coproduct_theorem_check(4, 4, sol).entries if not e.ok}
+    assert set(failed) == laws
+    for witness in failed.values():
+        assert witness.startswith("n=3; lhs - rhs = ") and "(x)" in witness
 
 
 def test_specializations(sol):

@@ -58,6 +58,7 @@ from hopftrees.symfun import (
     sym_product_part,
 )
 from hopftrees.trees import DOT, Forest, RootedTree, ladder
+from oracles import apply_linear_per_term, bilinear_per_pair, tensor_mul_per_pair
 
 X, Y, Z = Partition([1]), Partition([2]), Partition([3])
 
@@ -578,6 +579,90 @@ def test_fused_kernels_match_term_by_term_references(inputs):
         assert _exact(out, scalar)
 
 
+# (ring, scale factors with 1 among them, so both the scaled and the unscaled
+# route run)
+_FACTORS = [
+    (ZZ, (1, -2, 3)),
+    (QQ, (Fraction(1, 2), 1, Fraction(-2, 3))),
+    (QP, (Poly((0, 1)), 1, Poly((1, -1)))),
+]
+
+
+@pytest.mark.parametrize("ring, factors", _FACTORS, ids=["ZZ", "QQ", "QP"])
+def test_fused_kernels_match_per_pair_routes(ring, factors):
+    """bilinear, TensorElem.mul, accumulate and apply_linear against the
+    routes that build one combination per pair (tests/oracles.py), for the
+    MonomialProducts of H_K and H_F and the memoised products of kP and
+    NSym: equal values, no zero coefficient stored, each of the ring's own
+    type."""
+    scalar = {ZZ: int, QQ: Fraction, QP: Poly}[ring]
+    algebras = [factory(ring) for factory in (ck_ops, hf_ops, kp_ops, nsym_ops)]
+
+    def combinations(ops, top=3):
+        basis = [b for n in range(top + 1) for b in ops.basis(n)]
+        a = LinComb(ring, zip(basis, factors * len(basis)))
+        b = LinComb(ring, zip(basis[::-1], factors[::-1] * len(basis)))
+        return a, b, a + b, b - a  # (a + b)(b - a) cancels ab against ba
+
+    for ops in algebras:
+        assert isinstance(ops.product, MonomialProduct) == (ops.name in ("H_K", "H_F"))
+        a, b, s, d = combinations(ops)
+        for x, y in ((a, b), (b, a), (s, d), (d, s), (a, a)):
+            out = x.bilinear(ops.product, y)
+            assert out == bilinear_per_pair(ops.product, x, y)
+            assert _exact(out, scalar)
+    # each product on each side of TensorElem.mul, the forest algebras'
+    # MonomialProducts on both (the one-term route)
+    for left_ops in algebras:
+        for right_ops in algebras:
+            left, right = combinations(left_ops, 2), combinations(right_ops, 2)
+            s = TensorElem.tensor(left[0], right[1])
+            t = TensorElem.tensor(left[2], right[3]) + TensorElem.tensor(left[3], right[2])
+            for x, y in ((s, t), (t, s), (s + t, t - s)):
+                out = x.mul(y, left_ops.product, right_ops.product)
+                assert out == tensor_mul_per_pair(x, y, left_ops.product, right_ops.product)
+                assert _exact(out, scalar)
+    # the coproducts of the forest algebras, products of tree coproducts
+    for ops in algebras[:2]:
+        for x in ops.basis(3):
+            for y in ops.basis(2):
+                cx, cy = ops.coproduct(x), ops.coproduct(y)
+                out = cx.mul(cy, ops.product, ops.product)
+                assert out == tensor_mul_per_pair(cx, cy, ops.product, ops.product)
+                assert out == ops.coproduct(x.mul(y)) and _exact(out, scalar)
+    # a value added into itself, scaled by each factor and by -1
+    for c in factors + (-1,):
+        acc = combinations(algebras[0])[0]
+        want = LinComb(ring, [(k, v * (1 + c)) for k, v in acc.terms.items()])
+        accumulate(acc, acc, c)
+        assert acc == want and _exact(acc, scalar)
+    assert acc.is_zero()
+    # a map giving a basis element for some inputs and a combination for
+    # others, whose terms meet and cancel
+    ck = algebras[0]
+    unit = ck.unit
+
+    def mixed(f):
+        if f.weight % 2:
+            return unit
+        return LinComb(ring, {f: factors[0], unit: -1})
+
+    for x in combinations(ck):
+        out = x.apply_linear(mixed)
+        assert out == apply_linear_per_term(x, mixed) and _exact(out, scalar)
+    # the unit from a weight-1 input cancels the -1*unit of a weight-2 one
+    meets = LinComb(ring, {ck.basis(1)[0]: 1, ck.basis(2)[0]: 1})
+    out = meets.apply_linear(mixed)
+    assert out == apply_linear_per_term(meets, mixed) and unit not in out.terms
+    if ring is ZZ:
+        # weight 3 is odd: each image is a basis element, its coefficient
+        # coerced into the output ring
+        into_qq = LinComb(ZZ, {f: 2 for f in ck.basis(3)})
+        out = into_qq.apply_linear(mixed, QQ)
+        assert out == apply_linear_per_term(into_qq, mixed, QQ)
+        assert out.ring is QQ and _exact(out, Fraction)
+
+
 def test_fused_kernels_keep_every_ring_check():
     for ring, other in ((ZZ, QQ), (QQ, QP), (QP, ZZ)):
         kp = kp_ops(ring)
@@ -595,6 +680,15 @@ def test_fused_kernels_keep_every_ring_check():
         ):
             with pytest.raises(RingMismatchError):
                 pair.mul(pair, prod_left, prod_right)
+        # a MonomialProduct over another ring takes the checked route
+        f = hf_ops(ring).basis(2)[0]
+        with pytest.raises(RingMismatchError):
+            hf_ops(ring).term(f).bilinear(MonomialProduct(other), hf_ops(ring).term(f))
+        forests = TensorElem.term(ring, f, f)
+        same, elsewhere = MonomialProduct(ring), MonomialProduct(other)
+        for prod_left, prod_right in ((elsewhere, same), (same, elsewhere)):
+            with pytest.raises(RingMismatchError):
+                forests.mul(forests, prod_left, prod_right)
     with pytest.raises(TypeError):
         LinComb(ZZ, {DOT: Fraction(1, 2)})
 

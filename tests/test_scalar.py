@@ -128,6 +128,10 @@ def test_poly_arithmetic_matches_schoolbook(q, other):
         assert q * one is q
         if q != 1:  # when both factors are 1, either may come back
             assert one * q is q
+    # comparing with an int, as the free modules' unit test does, builds no
+    # Poly and agrees with comparing coefficients
+    for k in (-1, 0, 1, 2):
+        assert (q == k) == (q.coeffs == ((Fraction(k),) if k else ()))
 
 
 def test_poly_copies_and_pickles():
