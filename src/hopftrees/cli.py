@@ -29,7 +29,9 @@ from .freemodule import (
     LinComb,
     Report,
     TensorElem,
+    accumulate,
     check_axioms,
+    difference_witness,
     duality_check,
     pairing_extend,
     reports_to_json,
@@ -348,8 +350,7 @@ class _Parser:
             self.pos += 1
             sign = -1
         while True:
-            term = self.parse_term()
-            acc = acc + (term if sign == 1 else -term)
+            accumulate(acc, self.parse_term(), sign)
             nxt = self.peek()
             if nxt == "+":
                 sign = 1
@@ -607,15 +608,15 @@ def _suite_special(n: int):
 
 
 def _consistency_report(sol, closed) -> Report:
-    """The recursive and the closed DSE solution agree in every degree."""
+    """The recursive and the closed DSE solution agree in every degree, in
+    H_F and then in H_K."""
     n = sol.max_degree
     rep = Report("solution consistency", n)
     rep.law(
         "recursive matches closed form",
         range(1, n + 1),
-        lambda d: None
-        if sol.hf(d) == closed.hf(d) and sol.hk(d) == closed.hk(d)
-        else f"degree {d}",
+        lambda d: difference_witness(f"degree {d}", sol.hf(d), closed.hf(d))
+        or difference_witness(f"degree {d}", sol.hk(d), closed.hk(d)),
     )
     return rep
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
 from typing import Any, NamedTuple
 
+from .coproducts import extend_multiplicatively, prefixes, split_coproduct, submultisets
 from .freemodule import HopfOps, LinComb, MonomialProduct, TensorElem
 from .scalar import QQ
 from .trees import (
@@ -121,31 +121,10 @@ def cuts_of(tree, admissible_only: bool = False) -> list:
 # u.  The walk visits the slots of each vertex of u in order, and each slot
 # takes a piece of the branches still pending; the last slot takes all that
 # is left.  A rooted vertex has the slots (the vertex, child 1, ..., child
-# k), and a piece is a sub-multiset.  A planar vertex has the slots (gap 0,
-# child 1, gap 1, ..., child k, gap k), the positions between its children,
-# and a piece is a contiguous run of the ordered branches.
-
-
-def _submultisets(pending: tuple) -> tuple:
-    """(piece, rest, weight) for each sub-multiset piece of the canonically
-    sorted branches pending.  Equal branches are adjacent, and interned, so
-    equal means identical; the weight, a product of binomials over the
-    classes of equal branches, is the number of subsets of labelled branches
-    that give the piece."""
-    out = (((), (), 1),)
-    for b, run in itertools.groupby(pending):
-        m = len(tuple(run))
-        out = tuple(
-            (piece + (b,) * a, rest + (b,) * (m - a), w * comb(m, a))
-            for piece, rest, w in out
-            for a in range(m + 1)
-        )
-    return out
-
-
-def _runs(pending: tuple) -> tuple:
-    """(piece, rest, 1) for each prefix piece of the ordered branches."""
-    return tuple((pending[:i], pending[i:], 1) for i in range(len(pending) + 1))
+# k), and a piece is a sub-multiset of the canonically sorted branches, whose
+# equal branches are adjacent.  A planar vertex has the slots (gap 0, child
+# 1, gap 1, ..., child k, gap k), the positions between its children, and a
+# piece is a prefix of the ordered branches still pending.
 
 
 def _rooted_slots(kids: tuple) -> tuple:
@@ -163,8 +142,8 @@ def _planar_slots(kids: tuple) -> tuple:
 # tree type -> (its slots, its pieces); a slot is (child, the children after
 # it), with None as the child for the vertex itself or a gap
 _GRAFTING = {
-    RootedTree: (_rooted_slots, _submultisets),
-    PlanarTree: (_planar_slots, _runs),
+    RootedTree: (_rooted_slots, submultisets),
+    PlanarTree: (_planar_slots, prefixes),
 }
 
 
@@ -221,16 +200,9 @@ def gl_product(t: RootedTree, u: RootedTree, ring=QQ) -> LinComb:
 
 
 def gl_coproduct(t: RootedTree, ring=QQ) -> TensorElem:
-    """Cocommutative coproduct of kT: split the root branches in all 2^k ways."""
-    branches = t.children
-    k = len(branches)
-    terms: dict = {}
-    for mask in range(1 << k):
-        left = RootedTree(branches[i] for i in range(k) if mask >> i & 1)
-        right = RootedTree(branches[i] for i in range(k) if not mask >> i & 1)
-        key = (left, right)
-        terms[key] = terms.get(key, 0) + 1
-    return TensorElem(ring, terms)
+    """Cocommutative coproduct of kT: split the root branches in all 2^k
+    ways, one term per sub-multiset weighted by the subsets that give it."""
+    return split_coproduct(ring, RootedTree, submultisets(t.children))
 
 
 @lru_cache(maxsize=None)
@@ -254,36 +226,27 @@ def gl_ops(ring=QQ) -> HopfOps:
 # and cuts_of returns the fallen part in it.
 
 
-def _extend_over_forest(x, tree_coproduct, ring) -> TensorElem:
-    """Extend tree_coproduct(t, ring) multiplicatively over the trees of the
-    forest x; the empty forest of x's type is the unit."""
-    forest = type(x)
-    acc = TensorElem.term(ring, forest(), forest())
-    mul = MonomialProduct(ring)
-    for t in x.trees:
-        acc = acc.mul(tree_coproduct(t, ring), mul, mul)
-    return acc
-
-
 def _cut_coproduct(t, ring) -> TensorElem:
     """t x 1 plus fallen part x root part over the admissible cuts of t; the
     empty cut contributes 1 x t."""
     forest = t.forest
-    terms: dict = {(forest((t,)), forest()): 1}
-    for cut in cuts_of(t, admissible_only=True):
-        key = (cut.fallen, forest((cut.root_part,)))
-        terms[key] = terms.get(key, 0) + 1
-    return TensorElem(ring, terms)
+    whole = ((forest((t,)), forest()), 1)
+    cuts = cuts_of(t, admissible_only=True)
+    return TensorElem(
+        ring, [whole] + [((c.fallen, forest((c.root_part,))), 1) for c in cuts]
+    )
 
 
 def _cut_antipode(t, ring) -> LinComb:
     forest = t.forest
-    terms: dict = {}
-    for cut in cuts_of(t, admissible_only=False):
-        f = cut.fallen.reverse().mul(forest((cut.root_part,)))
-        sign = -1 if cut.weight % 2 == 0 else 1  # contributes -(-1)^{|c|}
-        terms[f] = terms.get(f, 0) + sign
-    return LinComb(ring, terms)
+    cuts = cuts_of(t, admissible_only=False)
+    return LinComb(
+        ring,
+        [
+            (c.fallen.reverse().mul(forest((c.root_part,))), -((-1) ** c.weight))
+            for c in cuts
+        ],
+    )
 
 
 def _closed_antipode(x, ring) -> LinComb:
@@ -304,7 +267,7 @@ def _closed_antipode(x, ring) -> LinComb:
 
 def ck_coproduct(x: Forest, ring=QQ) -> TensorElem:
     """Admissible-cut coproduct, extended multiplicatively over the forest."""
-    return _extend_over_forest(x, _cut_coproduct, ring)
+    return extend_multiplicatively(ring, type(x)(), x.trees, _cut_coproduct)
 
 
 def ck_antipode(x, ring=QQ) -> LinComb:
@@ -339,12 +302,7 @@ def kp_product(t: PlanarTree, u: PlanarTree, ring=QQ) -> LinComb:
 
 def kp_coproduct(t: PlanarTree, ring=QQ) -> TensorElem:
     """Deconcatenation of the component sequence of the bracket string."""
-    comps = t.children
-    terms: dict = {}
-    for i in range(len(comps) + 1):
-        key = (PlanarTree(comps[:i]), PlanarTree(comps[i:]))
-        terms[key] = terms.get(key, 0) + 1
-    return TensorElem(ring, terms)
+    return split_coproduct(ring, PlanarTree, prefixes(t.children))
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +325,7 @@ def kp_ops(ring=QQ) -> HopfOps:
 def hf_coproduct(x: OrderedForest, ring=QQ) -> TensorElem:
     """Ordered admissible-cut coproduct, extended multiplicatively; equal to
     the rooted-subforest sum."""
-    return _extend_over_forest(x, _cut_coproduct, ring)
+    return extend_multiplicatively(ring, type(x)(), x.trees, _cut_coproduct)
 
 
 def hf_antipode(x, ring=QQ) -> LinComb:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .coproducts import extend_multiplicatively, prefixes, split_coproduct, submultisets
 from .freemodule import (
     HopfOps,
     Interned,
@@ -95,6 +96,10 @@ class Composition(_Parts):
 
     def reverse(self) -> "Composition":
         return Composition(self.parts[::-1])
+
+    def mul(self, other: "Composition") -> "Composition":
+        """Concatenation, the product of NSym words."""
+        return Composition(self.parts + other.parts)
 
     def partition(self) -> Partition:
         """Forget the order of the parts."""
@@ -212,12 +217,7 @@ def qsym_product(a: LinComb, b: LinComb) -> LinComb:
 
 def qsym_coproduct(i: Composition, ring=QQ) -> TensorElem:
     """Deconcatenation coproduct."""
-    parts = i.parts
-    terms: dict = {}
-    for j in range(len(parts) + 1):
-        key = (Composition(parts[:j]), Composition(parts[j:]))
-        terms[key] = terms.get(key, 0) + 1
-    return TensorElem(ring, terms)
+    return split_coproduct(ring, Composition, prefixes(i.parts))
 
 
 def qsym_antipode(i: Composition, ring=QQ) -> LinComb:
@@ -228,11 +228,7 @@ def qsym_antipode(i: Composition, ring=QQ) -> LinComb:
     already on one-part compositions.
     """
     sign = -1 if i.length % 2 else 1
-    terms: dict = {}
-    for j in coarsenings(i):
-        key = j.reverse()
-        terms[key] = terms.get(key, 0) + sign
-    return LinComb(ring, terms)
+    return LinComb(ring, [(j.reverse(), sign) for j in coarsenings(i)])
 
 
 @lru_cache(maxsize=None)
@@ -283,25 +279,11 @@ def sym_product(a: LinComb, b: LinComb) -> LinComb:
     return sym_ops(a.ring).product_lc(a, b)
 
 
-def _multiset_splits(lam: Partition):
-    """All ordered pairs (mu, nu) of partitions with multiset union lam."""
-    items = sorted(lam.multiplicities().items())
-    choices = [range(m + 1) for _, m in items]
-    for take in itertools.product(*choices):
-        mu = []
-        nu = []
-        for (value, mult), k in zip(items, take):
-            mu.extend([value] * k)
-            nu.extend([value] * (mult - k))
-        yield Partition(mu), Partition(nu)
-
-
 def sym_coproduct(lam: Partition, ring=QQ) -> TensorElem:
-    """Sum of m_mu x m_nu over all multiset splittings of lambda."""
-    terms: dict = {}
-    for mu, nu in _multiset_splits(lam):
-        terms[(mu, nu)] = terms.get((mu, nu), 0) + 1
-    return TensorElem(ring, terms)
+    """Sum of m_mu x m_nu over all multiset splittings of lambda, each
+    sub-multiset mu counted once."""
+    splits = ((mu, nu, 1) for mu, nu, _ in submultisets(lam.parts))
+    return split_coproduct(ring, Partition, splits)
 
 
 @lru_cache(maxsize=None)
@@ -464,23 +446,19 @@ def eh_identity_check(max_degree: int, ring=QQ) -> Report:
 
 def nsym_product(w1: Composition, w2: Composition, ring=QQ) -> LinComb:
     """Concatenation of E-words (free product)."""
-    return LinComb.term(ring, Composition(w1.parts + w2.parts))
+    return LinComb.term(ring, w1.mul(w2))
+
+
+def _letter_coproduct(n: int, ring) -> TensorElem:
+    """Divided-power coproduct of the generator E_n: the sum of E_i x
+    E_(n-i) over 0 <= i <= n, E_0 being the empty word."""
+    words = [EMPTY_COMPOSITION] + [Composition((i,)) for i in range(1, n + 1)]
+    return TensorElem(ring, [((words[i], words[n - i]), 1) for i in range(n + 1)])
 
 
 def nsym_coproduct(w: Composition, ring=QQ) -> TensorElem:
     """Divided-power coproduct of each letter, extended multiplicatively."""
-    acc = TensorElem.term(ring, EMPTY_COMPOSITION, EMPTY_COMPOSITION)
-    for letter in w.parts:
-        step: dict = {}
-        for (left, right), c in acc.terms.items():
-            for i in range(letter + 1):
-                j = letter - i
-                new_left = Composition(left.parts + ((i,) if i else ()))
-                new_right = Composition(right.parts + ((j,) if j else ()))
-                key = (new_left, new_right)
-                step[key] = step.get(key, 0) + c
-        acc = TensorElem(ring, step)
-    return acc
+    return extend_multiplicatively(ring, EMPTY_COMPOSITION, w.parts, _letter_coproduct)
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,11 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+from hopftrees.coproducts import extend_multiplicatively
 from hopftrees.freemodule import LinComb, TensorElem, accumulate, as_lincomb
-from hopftrees.hopf_trees import _extend_over_forest, bminus, bplus
+from hopftrees.hopf_trees import bminus, bplus
 from hopftrees.scalar import ONE_POLY, Poly, QQ, binom_poly
+from hopftrees.symfun import EMPTY_COMPOSITION, Composition, Partition
 from hopftrees.trees import PlanarTree, RootedTree, bba_decode, sym_order
 
 # ---------------------------------------------------------------------------
@@ -79,9 +81,10 @@ def kp_product_oracle(t: PlanarTree, u: PlanarTree, ring=QQ) -> LinComb:
 # ---------------------------------------------------------------------------
 # the free-module kernels, one combination per pair
 #
-# These are the routes bilinear, TensorElem.mul and apply_linear took before
-# each pair's image went straight into the result: every image is a whole
-# combination, added by accumulate with all its checks.
+# These are the routes bilinear, TensorElem.mul, TensorElem.map_sides and
+# apply_linear took before each pair's image went straight into the result:
+# every image is a whole combination, added by accumulate with all its
+# checks.
 
 
 def bilinear_per_pair(f, a: LinComb, b: LinComb) -> LinComb:
@@ -101,6 +104,17 @@ def tensor_mul_per_pair(s: TensorElem, t: TensorElem, prod_left, prod_right):
         for (a2, b2), c2 in t.terms.items():
             pair = TensorElem.tensor(prod_left(a, a2), prod_right(b, b2))
             accumulate(acc, pair, c * c2)
+    return acc
+
+
+def map_sides_per_term(x: TensorElem, f_left, f_right, out_ring=None) -> TensorElem:
+    """Linear maps on the two tensor factors, each term's tensor of side
+    images built and accumulated on its own."""
+    ring = out_ring or x.ring
+    acc = TensorElem.zero(ring)
+    for (a, b), c in x.terms.items():
+        left, right = as_lincomb(ring, f_left(a)), as_lincomb(ring, f_right(b))
+        accumulate(acc, TensorElem.tensor(left, right), c)
     return acc
 
 
@@ -131,7 +145,63 @@ def _root_extraction(t: RootedTree, ring) -> TensorElem:
 def ck_coproduct_recursive(x, ring=QQ) -> TensorElem:
     """The H_K coproduct by the root-extraction recursion
     D(t) = t x 1 + (id x bplus) D(bminus t), extended over the forest x."""
-    return _extend_over_forest(x, _root_extraction, ring)
+    return extend_multiplicatively(ring, type(x)(), x.trees, _root_extraction)
+
+
+# ---------------------------------------------------------------------------
+# the loops the three coproduct kernels replaced
+
+
+def gl_coproduct_masks(t: RootedTree, ring=QQ) -> TensorElem:
+    """The kT coproduct over all 2^k subsets of the k labelled root
+    branches."""
+    branches = t.children
+    k = len(branches)
+    terms: dict = {}
+    for mask in range(1 << k):
+        left = RootedTree(branches[i] for i in range(k) if mask >> i & 1)
+        right = RootedTree(branches[i] for i in range(k) if not mask >> i & 1)
+        key = (left, right)
+        terms[key] = terms.get(key, 0) + 1
+    return TensorElem(ring, terms)
+
+
+def _multiset_splits(lam: Partition):
+    """All ordered pairs (mu, nu) of partitions with multiset union lam."""
+    items = sorted(lam.multiplicities().items())
+    choices = [range(m + 1) for _, m in items]
+    for take in itertools.product(*choices):
+        mu = []
+        nu = []
+        for (value, mult), k in zip(items, take):
+            mu.extend([value] * k)
+            nu.extend([value] * (mult - k))
+        yield Partition(mu), Partition(nu)
+
+
+def sym_coproduct_splits(lam: Partition, ring=QQ) -> TensorElem:
+    """Sum of m_mu x m_nu over all multiset splittings of lambda."""
+    terms: dict = {}
+    for mu, nu in _multiset_splits(lam):
+        terms[(mu, nu)] = terms.get((mu, nu), 0) + 1
+    return TensorElem(ring, terms)
+
+
+def nsym_coproduct_letters(w: Composition, ring=QQ) -> TensorElem:
+    """The divided-power coproduct of each letter, multiplied in letter by
+    letter on the word pairs."""
+    acc = TensorElem.term(ring, EMPTY_COMPOSITION, EMPTY_COMPOSITION)
+    for letter in w.parts:
+        step: dict = {}
+        for (left, right), c in acc.terms.items():
+            for i in range(letter + 1):
+                j = letter - i
+                new_left = Composition(left.parts + ((i,) if i else ()))
+                new_right = Composition(right.parts + ((j,) if j else ()))
+                key = (new_left, new_right)
+                step[key] = step.get(key, 0) + c
+        acc = TensorElem(ring, step)
+    return acc
 
 
 # ---------------------------------------------------------------------------

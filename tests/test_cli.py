@@ -354,7 +354,8 @@ def test_cli_dse_catches_one_wrong_closed_form_coefficient(monkeypatch, capsys):
     """1 added to cp_coefficient of one planar tree with 4 vertices: the
     closed H_F solution moves at degree 4, and the recursion, which never
     calls cp_coefficient, does not.  The patch wraps cp_coefficient outside
-    the lru_cache of dse._binom_product, so no cached value is corrupted."""
+    the lru_cache of dse._binom_product, so no cached value is corrupted.
+    The witness shows recursive minus closed: -1 on the corrupted tree."""
     from hopftrees import dse
 
     star = bba_decode("<><><>")
@@ -365,10 +366,29 @@ def test_cli_dse_catches_one_wrong_closed_form_coefficient(monkeypatch, capsys):
     assert run(["check", "--suite", "dse", "--max-degree", "6"]) == 1
     out = capsys.readouterr().out
     assert (
-        "  FAIL recursive matches closed form [4 cases] witness: degree 4"
-        in out.splitlines()
+        "  FAIL recursive matches closed form [4 cases] witness: degree 4; "
+        "lhs - rhs = -1*OrderedForest(['<><><>'])" in out.splitlines()
     )
     assert out.endswith("FAILURES PRESENT\n")
+
+
+def test_cli_dse_consistency_shows_the_commutative_difference(monkeypatch, capsys):
+    """1 added to the embedding count of the cherry moves only the closed H_K
+    solution, at degree 3; the witness shows recursive minus closed there,
+    -cp_coefficient(cherry) = (p - p^2)/2 on the cherry."""
+    from hopftrees import dse
+
+    cherry = RootedTree([DOT, DOT])
+    exact = dse.embedding_count
+    monkeypatch.setattr(
+        dse, "embedding_count", lambda t: exact(t) + 1 if t is cherry else exact(t)
+    )
+    assert run(["check", "--suite", "dse", "--max-degree", "4"]) == 1
+    assert (
+        "  FAIL recursive matches closed form [3 cases] witness: degree 3; "
+        "lhs - rhs = 1/2*p - 1/2*p^2*Forest(['<><>'])"
+        in capsys.readouterr().out.splitlines()
+    )
 
 
 def test_integral_suites_run_over_zz(monkeypatch, capsys):

@@ -58,7 +58,12 @@ from hopftrees.symfun import (
     sym_product_part,
 )
 from hopftrees.trees import DOT, Forest, RootedTree, ladder
-from oracles import apply_linear_per_term, bilinear_per_pair, tensor_mul_per_pair
+from oracles import (
+    apply_linear_per_term,
+    bilinear_per_pair,
+    map_sides_per_term,
+    tensor_mul_per_pair,
+)
 
 X, Y, Z = Partition([1]), Partition([2]), Partition([3])
 
@@ -654,12 +659,31 @@ def test_fused_kernels_match_per_pair_routes(ring, factors):
     meets = LinComb(ring, {ck.basis(1)[0]: 1, ck.basis(2)[0]: 1})
     out = meets.apply_linear(mixed)
     assert out == apply_linear_per_term(meets, mixed) and unit not in out.terms
+    # the same map on either tensor factor, against the identity on the other
+    a, b, s, d = combinations(ck)
+
+    def same(f):
+        return f
+
+    for x in (TensorElem.tensor(a, b), TensorElem.tensor(s, d) + TensorElem.tensor(d, s)):
+        for f_left, f_right in ((mixed, mixed), (mixed, same), (same, mixed)):
+            out = x.map_sides(f_left, f_right)
+            assert out == map_sides_per_term(x, f_left, f_right)
+            assert _exact(out, scalar)
+    meets_pair = TensorElem.tensor(meets, meets)
+    out = meets_pair.map_sides(mixed, mixed)
+    assert out == map_sides_per_term(meets_pair, mixed, mixed)
+    assert all(unit not in k for k in out.terms)
     if ring is ZZ:
         # weight 3 is odd: each image is a basis element, its coefficient
         # coerced into the output ring
         into_qq = LinComb(ZZ, {f: 2 for f in ck.basis(3)})
         out = into_qq.apply_linear(mixed, QQ)
         assert out == apply_linear_per_term(into_qq, mixed, QQ)
+        assert out.ring is QQ and _exact(out, Fraction)
+        pair_qq = TensorElem.tensor(into_qq, into_qq)
+        out = pair_qq.map_sides(mixed, mixed, QQ)
+        assert out == map_sides_per_term(pair_qq, mixed, mixed, QQ)
         assert out.ring is QQ and _exact(out, Fraction)
 
 
@@ -689,8 +713,28 @@ def test_fused_kernels_keep_every_ring_check():
         for prod_left, prod_right in ((elsewhere, same), (same, elsewhere)):
             with pytest.raises(RingMismatchError):
                 forests.mul(forests, prod_left, prod_right)
+        # map_sides: a side image over another ring, or of another kind
+        def elsewhere(x):
+            return LinComb.term(other, x)
+
+        def itself(x):
+            return x
+
+        for f_left, f_right in (
+            (elsewhere, itself),
+            (itself, elsewhere),
+            (elsewhere, elsewhere),
+        ):
+            with pytest.raises(RingMismatchError):
+                forests.map_sides(f_left, f_right)
+        with pytest.raises(TypeError):
+            forests.map_sides(lambda x: TensorElem.term(ring, x, x), itself)
     with pytest.raises(TypeError):
         LinComb(ZZ, {DOT: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        # a coefficient that is not integral refuses to enter ZZ
+        half = TensorElem.term(QQ, DOT, DOT, Fraction(1, 2))
+        half.map_sides(lambda x: x, lambda x: x, ZZ)
 
 
 def test_cocommutativity_check():
