@@ -395,15 +395,12 @@ def render_basis(b, algebra: str) -> str:
 
 
 def _render_coeff(c, ring) -> tuple[bool, str]:
-    """(negated, body) where body has no leading sign and parses as a coeff."""
-    if not isinstance(c, Poly):
-        return c < 0, str(abs(c))
-    nonzero = [x for x in c.num if x]
-    if len(nonzero) == 1:
-        neg = nonzero[0] < 0
-        body = ring.render(-c if neg else c)
-        return neg, body
-    return False, f"({ring.render(c)})"
+    """(negated, body) where body has no leading sign and parses as a coeff:
+    c as a factor (Ring.render_factor), its leading minus split off; a
+    polynomial of several terms keeps its signs inside parentheses."""
+    body = ring.render_factor(c)
+    neg = body.startswith("-")
+    return neg, body[1:] if neg else body
 
 
 def render_lincomb(x: LinComb, algebra: str) -> str:

@@ -11,7 +11,7 @@ from .freemodule import (
     HopfOps,
     LinComb,
     Report,
-    _pairs_upto,
+    _tuples_upto,
     as_lincomb,
     difference_witness,
 )
@@ -138,7 +138,8 @@ def _check_hopf_morphism(
     by_deg = {n: list(dom.basis(n)) for n in range(max_degree + 1)}
     elems = [b for n in range(max_degree + 1) for b in by_deg[n]]
 
-    rep.add(f"{name}: unit", f(dom.one_lc()) == cod.one_lc())
+    unit = difference_witness(dom.unit, f(dom.one_lc()), cod.one_lc())
+    rep.add(f"{name}: unit", unit is None, witness=unit)
 
     def degree_ok(b):
         img = f(dom.term(b))
@@ -155,7 +156,7 @@ def _check_hopf_morphism(
         rhs = cod.product_lc(f(dom.term(x)), f(dom.term(y)))
         return difference_witness(pair, lhs, rhs)
 
-    rep.law(f"{name}: products", _pairs_upto(by_deg, max_degree), product_ok)
+    rep.law(f"{name}: products", _tuples_upto(by_deg, max_degree, 2), product_ok)
 
     def coproduct_ok(b):
         lhs = dom.coproduct(b).map_sides(

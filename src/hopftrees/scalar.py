@@ -12,11 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import Union
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction, "Poly"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -170,14 +167,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = ONE_POLY
-        for _ in range(n):
-            out = out * self
-        return out
-
     def eval_at(self, v) -> Fraction:
         """Substitute the rational v for p: integer Horner on the numerators
         scaled by powers of v's denominator, one division at the end."""
@@ -295,6 +284,14 @@ class Ring:
 
     def render(self, a) -> str:
         return self._render(a)
+
+    def render_factor(self, a) -> str:
+        """The text of a as the factor of a product: in parentheses when it
+        is a polynomial of several terms, so that "a*x" reads one way."""
+        text = self._render(a)
+        if isinstance(a, Poly) and sum(map(bool, a.num)) > 1:
+            return f"({text})"
+        return text
 
     def __reduce__(self):
         # copy and pickle hand back the module's own ring object: values are

@@ -10,11 +10,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .freemodule import LinComb, Report, TensorElem, accumulate, as_lincomb, freeze
+from .freemodule import (
+    LinComb,
+    Report,
+    TensorElem,
+    accumulate,
+    as_lincomb,
+    difference_witness,
+    freeze,
+)
 from .hopf_trees import bplus, cuts_of, gl_ops
 from .morphisms import phi_star, rho_star
 from .scalar import QQ, ZZ
-from .symfun import Partition, basis_expand, partitions_of, sym_product
+from .symfun import basis_expand, partitions_of, sym_product
 from .trees import (
     DOT,
     Forest,
@@ -115,41 +123,23 @@ def proposition_check(max_degree: int) -> Report:
 
     def antipode_link(n):
         s_kappa = gl.antipode_lc(kappa(n))
-        if epsilon(n) != s_kappa.scale((-1) ** n):
-            return f"n={n}"
-        return None
+        return difference_witness(f"n={n}", epsilon(n), s_kappa.scale((-1) ** n))
 
     rep.law("eps_n = (-1)^n S(kappa_n)", range(max_degree + 1), antipode_link)
 
     def image_e(n):
-        want = (
-            LinComb.term(QQ, Partition())
-            if n == 0
-            else basis_expand("e", n)
-        )
-        if phi_star(epsilon(n)) != want:
-            return f"n={n}"
-        return None
+        return difference_witness(f"n={n}", phi_star(epsilon(n)), basis_expand("e", n))
 
     rep.law("phi*(eps_n) = e_n", range(max_degree + 1), image_e)
 
     def image_h(n):
-        want = (
-            LinComb.term(QQ, Partition())
-            if n == 0
-            else basis_expand("h", n)
-        )
-        if phi_star(kappa(n)) != want:
-            return f"n={n}"
-        return None
+        return difference_witness(f"n={n}", phi_star(kappa(n)), basis_expand("h", n))
 
     rep.law("phi*(kappa_n) = h_n", range(max_degree + 1), image_h)
 
     def cleared(n):
         want = LinComb.term(QQ, t_lambda([1] * n))
-        if epsilon(n).scale(factorial(n)) != want:
-            return f"n={n}"
-        return None
+        return difference_witness(f"n={n}", epsilon(n).scale(factorial(n)), want)
 
     rep.law("n! eps_n is the one-level bush", range(max_degree + 1), cleared)
 
@@ -158,17 +148,13 @@ def proposition_check(max_degree: int) -> Report:
         rhs = TensorElem.zero(QQ)
         for i in range(n + 1):
             accumulate(rhs, TensorElem.tensor(kappa(i), kappa(n - i)), QQ.one)
-        if lhs != rhs:
-            return f"n={n}"
-        return None
+        return difference_witness(f"n={n}", lhs, rhs)
 
     rep.law("kappa divided powers", range(max_degree + 1), divided)
 
     def planar_sum(n):
         want = LinComb(QQ, {T: 1 for T in enumerate_planar(n)})
-        if rho_star(kappa(n)) != want:
-            return f"n={n}"
-        return None
+        return difference_witness(f"n={n}", rho_star(kappa(n)), want)
 
     rep.law("rho*(kappa_n) sums the planar trees", range(max_degree + 1), planar_sum)
     return rep
@@ -194,9 +180,7 @@ def growth_formulas_check(max_weight: int) -> Report:
         rhs = phi_star(t)
         for _ in range(k):
             rhs = sym_product(e1, rhs)
-        if lhs != rhs:
-            return f"t={t!r}, k={k}"
-        return None
+        return difference_witness(f"t={t!r}, k={k}", lhs, rhs)
 
     cases = []
     for lam in (l for n in range(max_weight) for l in partitions_of(n)):
@@ -211,9 +195,7 @@ def growth_formulas_check(max_weight: int) -> Report:
         lam, mu = pair
         lhs = tally(t_lambda(mu.parts))[Forest((DOT,)), t_lambda(lam.parts)]
         rhs = sym_product(e1, LinComb.term(QQ, lam)).coeff(mu)
-        if lhs != rhs:
-            return f"lambda={lam.parts}, mu={mu.parts}"
-        return None
+        return difference_witness(f"lambda={lam.parts}, mu={mu.parts}", lhs, rhs)
 
     pairs = [
         (lam, mu)
@@ -228,9 +210,7 @@ def growth_formulas_check(max_weight: int) -> Report:
         t = t_lambda(lam.parts)
         coeff = natural_growth(DOT, lam.weight).coeff(t)
         want = Fraction(multinomial(lam.parts), sym_order(t))
-        if coeff != want:
-            return f"lambda={lam.parts}"
-        return None
+        return difference_witness(f"lambda={lam.parts}", coeff, want)
 
     lams = [l for n in range(1, max_weight + 1) for l in partitions_of(n)]
     rep.law("n(.; t_lambda) multinomial formula", lams, closed_form)

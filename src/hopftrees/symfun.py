@@ -21,6 +21,7 @@ from .freemodule import (
     Report,
     TensorElem,
     accumulate,
+    difference_witness,
     freeze,
 )
 from .scalar import QQ
@@ -300,8 +301,9 @@ def sym_ops(ring=QQ) -> HopfOps:
 
 
 def basis_expand(name: str, k: int, ring=QQ) -> LinComb:
-    """The generators e_k, h_k, p_k expanded in the monomial basis."""
-    if k < 1:
+    """The generators e_k, h_k, p_k expanded in the monomial basis; e_0 and
+    h_0 are the unit, and p_0 is refused."""
+    if k < 0 or (k == 0 and name == "p"):
         raise ValueError("generator index must be positive")
     if name == "e":
         return LinComb.term(ring, Partition([1] * k))
@@ -415,26 +417,16 @@ def eh_identity_check(max_degree: int, ring=QQ) -> Report:
     def alternating(d):
         acc = LinComb.zero(ring)
         for i in range(d + 1):
-            j = d - i
-            e_part = (
-                LinComb.term(ring, EMPTY_PARTITION) if i == 0 else basis_expand("e", i)
-            )
-            h_part = (
-                LinComb.term(ring, EMPTY_PARTITION) if j == 0 else basis_expand("h", j)
-            )
-            accumulate(acc, sym_product(e_part, h_part), (-1) ** j)
-        if not acc.is_zero():
-            return f"degree {d}"
-        return None
+            e_h = sym_product(basis_expand("e", i, ring), basis_expand("h", d - i, ring))
+            accumulate(acc, e_h, (-1) ** (d - i))
+        return difference_witness(f"degree {d}", acc, LinComb.zero(ring))
 
     rep.law("sum (-1)^j e_i h_j = 0", range(1, max_degree + 1), alternating)
 
     def antipode_eh(i):
         lhs = ops.antipode_lc(basis_expand("e", i, ring))
         rhs = basis_expand("h", i, ring).scale((-1) ** i)
-        if lhs != rhs:
-            return f"e_{i}"
-        return None
+        return difference_witness(f"e_{i}", lhs, rhs)
 
     rep.law("S(e_i) = (-1)^i h_i", range(1, max_degree + 1), antipode_eh)
     return rep

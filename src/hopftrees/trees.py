@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import os
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import attrgetter
 
 from .freemodule import Interned
@@ -228,16 +228,9 @@ def sym_order(t: RootedTree) -> int:
 
 def child_factorial_product(t) -> int:
     """Product of c(v)! over all vertices; accepts rooted or planar trees."""
-    return factorial(len(t.children)) * _prod(
+    return factorial(len(t.children)) * prod(
         child_factorial_product(c) for c in t.children
     )
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 @lru_cache(maxsize=None)

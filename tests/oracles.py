@@ -128,6 +128,27 @@ def apply_linear_per_term(x: LinComb, f, out_ring=None) -> LinComb:
     return acc
 
 
+def pairs_upto_nested(by_deg, total):
+    """The basis pairs of total degree at most total, by the nested loops
+    that freemodule._tuples_upto replaced."""
+    for d1 in range(total + 1):
+        for d2 in range(total - d1 + 1):
+            for x in by_deg[d1]:
+                for y in by_deg[d2]:
+                    yield x, y
+
+
+def triples_upto_nested(by_deg, total):
+    """The basis triples of total degree at most total, likewise."""
+    for d1 in range(total + 1):
+        for d2 in range(total - d1 + 1):
+            for d3 in range(total - d1 - d2 + 1):
+                for x in by_deg[d1]:
+                    for y in by_deg[d2]:
+                        for z in by_deg[d3]:
+                            yield x, y, z
+
+
 # ---------------------------------------------------------------------------
 # the Connes-Kreimer coproduct by root extraction
 

@@ -386,7 +386,7 @@ def test_cli_dse_consistency_shows_the_commutative_difference(monkeypatch, capsy
     assert run(["check", "--suite", "dse", "--max-degree", "4"]) == 1
     assert (
         "  FAIL recursive matches closed form [3 cases] witness: degree 3; "
-        "lhs - rhs = 1/2*p - 1/2*p^2*Forest(['<><>'])"
+        "lhs - rhs = (1/2*p - 1/2*p^2)*Forest(['<><>'])"
         in capsys.readouterr().out.splitlines()
     )
 

@@ -70,7 +70,9 @@ def test_nsym_coproduct_matches_letter_loop(ring):
 
 def test_dropped_right_unit_term_is_named(monkeypatch):
     """Drop 1 (x) b from the QSym coproduct of M[2, 1]: the connected-form
-    law fails there, and its witness names the missing term."""
+    law fails there, and its witness names the missing term; the
+    coassociativity witness names the triple that 1 (x) Delta(b) no longer
+    gives."""
     ops = qsym_ops(ZZ)
     exact = ops.coproduct
     target = Composition((2, 1))
@@ -88,4 +90,10 @@ def test_dropped_right_unit_term_is_named(monkeypatch):
     assert not entry.ok
     assert entry.witness == (
         "Composition(2, 1); lhs - rhs = -1*Composition()(x)Composition(2, 1)"
+    )
+    entry = next(e for e in rep.entries if e.law == "coproduct coassociativity")
+    assert not entry.ok
+    assert entry.witness == (
+        "Composition(2, 1); lhs - rhs = "
+        "1*Composition()(x)Composition(2,)(x)Composition(1,)"
     )

@@ -12,7 +12,7 @@ from hopftrees.freemodule import (
     Report,
     RingMismatchError,
     TensorElem,
-    _pairs_upto,
+    _tuples_upto,
     accumulate,
     check_axioms,
     check_cocommutativity,
@@ -62,7 +62,9 @@ from oracles import (
     apply_linear_per_term,
     bilinear_per_pair,
     map_sides_per_term,
+    pairs_upto_nested,
     tensor_mul_per_pair,
+    triples_upto_nested,
 )
 
 X, Y, Z = Partition([1]), Partition([2]), Partition([3])
@@ -161,6 +163,37 @@ def test_difference_witness_shows_the_first_terms():
     )
 
 
+def test_difference_witness_of_scalars_and_triples():
+    assert difference_witness("n=2", Fraction(1, 2), 1) == "n=2; lhs - rhs = -1/2"
+    assert difference_witness((X, Y), 3, 1) == f"{(X, Y)!r}; lhs - rhs = 2"
+    assert difference_witness("n=2", Fraction(2), 2) is None
+    assert difference_witness("p", Poly([1, -1]), Poly([0, 1])) == (
+        "p; lhs - rhs = 1 - 2*p"
+    )
+    # a key of any length sorts and renders factor by factor
+    triples = TensorElem(QQ, {(Y, X, X): 1, (X, Y, X): 2, (X, X, Y): -1})
+    assert [k for k, _ in triples.sorted_terms()] == [(X, X, Y), (X, Y, X), (Y, X, X)]
+    assert difference_witness(X, triples, TensorElem.zero(QQ)) == (
+        f"{X!r}; lhs - rhs = -1*{X!r}(x){X!r}(x){Y!r} + 2*{X!r}(x){Y!r}(x){X!r}"
+        f" + 1*{Y!r}(x){X!r}(x){X!r}"
+    )
+
+
+def test_render_parenthesises_a_polynomial_of_several_terms():
+    x = LinComb(QP, {X: Poly([0, 1, -1]), Y: Poly([0, -2]), Z: Poly([3])})
+    assert x.render() == f"(p - p^2)*{X!r} + -2*p*{Y!r} + 3*{Z!r}"
+    assert lc(x=Fraction(-1, 2)).render() == f"-1/2*{X!r}"
+
+
+@pytest.mark.parametrize("arity, nested", [(2, pairs_upto_nested), (3, triples_upto_nested)])
+def test_tuples_upto_matches_the_nested_loops(arity, nested):
+    for factory in (gl_ops, qsym_ops):
+        ops = factory(QQ)
+        by_deg = {n: list(ops.basis(n)) for n in range(6)}
+        for total in range(6):
+            assert list(_tuples_upto(by_deg, total, arity)) == list(nested(by_deg, total))
+
+
 def test_bilinear_extension():
     f = lambda a, b: LinComb.term(QQ, Partition(a.parts + b.parts))
     left = lc(x=2) + lc(y=1)
@@ -252,7 +285,7 @@ def test_memo_kernel_matches_direct_maps(factory, product, coproduct, antipode):
     for ring in (QQ, ZZ):
         ops = factory(ring)
         by_deg = {n: list(ops.basis(n)) for n in range(5)}
-        for a, b in _pairs_upto(by_deg, 4):
+        for a, b in _tuples_upto(by_deg, 4, 2):
             if product is None:
                 assert ops.product(a, b) == LinComb.term(ring, a.mul(b))
             else:
@@ -775,6 +808,67 @@ def test_tensor_pairing_factorizes():
 def test_duality_check_small_degree():
     rep = duality_check(ck_ops(QQ), gl_ops(QQ), bplus, pairing_hk, pairing_kt_hk, 3)
     assert rep.passed
+
+
+# Each fault changes one coefficient of one map of the H_K ~ kT duality.
+def _phi_fault(monkeypatch, ck, maps):
+    # a second, degree-0 tree in the image of the one-dot forest
+    u = Forest([DOT])
+    maps["phi"] = lambda f: LinComb(QQ, {bplus(f): 1, DOT: 1}) if f is u else bplus(f)
+
+
+def _pairing_fault(monkeypatch, ck, maps):
+    u = Forest([DOT])
+    maps["pairing_a"] = lambda f, g: pairing_hk(f, g) + (f is g is u)
+
+
+def _product_fault(monkeypatch, ck, maps):
+    u, exact = Forest([DOT]), ck.product
+    monkeypatch.setattr(
+        ck,
+        "product",
+        lambda f, g: exact(f, g) + ck.term(f.mul(g)) if f is g is u else exact(f, g),
+    )
+
+
+def _coproduct_fault(monkeypatch, ck, maps):
+    u, exact = Forest([DOT]), ck.coproduct
+    monkeypatch.setattr(
+        ck,
+        "coproduct",
+        lambda f: exact(f) + TensorElem.term(QQ, u, u) if f is u.mul(u) else exact(f),
+    )
+
+
+DUALITY_FAULTS = [
+    ("degree preservation of phi", _phi_fault),
+    ("(a) pairing preserved", _pairing_fault),
+    ("(b) product vs dual coproduct", _product_fault),
+    ("(c) coproduct vs dual product", _coproduct_fault),
+]
+
+
+@pytest.mark.parametrize("law, fault", DUALITY_FAULTS, ids=[l for l, _ in DUALITY_FAULTS])
+def test_duality_check_catches_one_wrong_coefficient(monkeypatch, law, fault):
+    ck, gl = ck_ops(QQ), gl_ops(QQ)
+    maps = {"phi": bplus, "pairing_a": pairing_hk}
+    fault(monkeypatch, ck, maps)
+    # the faulty triple (u, u, uu) has total degree 4
+    rep = duality_check(ck, gl, maps["phi"], maps["pairing_a"], pairing_kt_hk, 4)
+    entries = {e.law: e for e in rep.entries}
+    assert set(entries) == {name for name, _ in DUALITY_FAULTS}
+    entry = entries[law]
+    assert not entry.ok
+    u = Forest([DOT])
+    pinned = {
+        # a predicate: its witness names the case only
+        "degree preservation of phi": repr(u),
+        "(a) pairing preserved": f"{(u, u)!r}; lhs - rhs = 1",
+    }
+    if law in pinned:
+        assert entry.witness == pinned[law]
+    else:
+        assert "; lhs - rhs = " in entry.witness
 
 
 def test_duality_degenerate_triple():

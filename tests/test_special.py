@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from hopftrees import special
 from hopftrees.freemodule import LinComb, TensorElem, accumulate
 from hopftrees.hopf_trees import gl_ops
 from hopftrees.scalar import QQ
@@ -135,3 +137,98 @@ def test_growth_formula_examples():
 def test_growth_sweep_small():
     rep = growth_formulas_check(4)
     assert rep.passed, [e.line() for e in rep.entries if not e.ok]
+
+
+def _suite(n):
+    return [proposition_check(n), growth_formulas_check(n), lemma_check(n + 1)]
+
+
+def _add_one(x: LinComb, basis) -> LinComb:
+    return x + LinComb.term(x.ring, basis)
+
+
+# Each fault changes one coefficient.  kappa and epsilon are lru_cached, and
+# epsilon's recursion reads both through the module, so the fixture below
+# computes them before a fault is patched in: no value computed under a
+# fault may stay in a cache.
+def _kappa_fault(monkeypatch):
+    exact = special.kappa
+    monkeypatch.setattr(
+        special, "kappa", lambda n: _add_one(exact(n), CHERRY) if n == 2 else exact(n)
+    )
+
+
+def _epsilon_fault(monkeypatch):
+    exact = special.epsilon
+    monkeypatch.setattr(
+        special, "epsilon", lambda n: _add_one(exact(n), CHERRY) if n == 2 else exact(n)
+    )
+
+
+def _growth_fault(monkeypatch):
+    exact = special.natural_growth
+
+    def natural_growth(x, k=1):
+        out = exact(x, k)
+        return _add_one(out, L3) if (x, k) == (DOT, 2) else out
+
+    monkeypatch.setattr(special, "natural_growth", natural_growth)
+
+
+def _cut_fault(monkeypatch):
+    """One more cut of the 2-vertex ladder into a dot and a dot."""
+    exact = special._cut_tally
+
+    def cut_tally(target):
+        out = Counter(exact(target))
+        if target is L2:
+            out[Forest([DOT]), DOT] += 1
+        return out
+
+    monkeypatch.setattr(special, "_cut_tally", cut_tally)
+
+
+@pytest.fixture
+def faults(monkeypatch):
+    """A monkeypatch for the faults, with kappa and epsilon cached first;
+    once the faults are undone, the suite passes again."""
+    for n in range(6):
+        kappa(n), epsilon(n)
+    yield monkeypatch
+    monkeypatch.undo()
+    assert all(rep.passed for rep in _suite(4))
+
+
+SPECIAL_FAULTS = [
+    ("eps_n = (-1)^n S(kappa_n)", _epsilon_fault),
+    ("phi*(eps_n) = e_n", _epsilon_fault),
+    ("phi*(kappa_n) = h_n", _kappa_fault),
+    ("n! eps_n is the one-level bush", _epsilon_fault),
+    ("kappa divided powers", _kappa_fault),
+    ("rho*(kappa_n) sums the planar trees", _kappa_fault),
+    ("phi* intertwines growth with e_1 multiplication", _growth_fault),
+    ("m(., t_lambda; t_mu) matches e_1 m_lambda", _cut_fault),
+    ("n(.; t_lambda) multinomial formula", _growth_fault),
+    ("identity over all admissible decompositions", _cut_fault),
+]
+
+
+@pytest.mark.parametrize("law, fault", SPECIAL_FAULTS, ids=[l for l, _ in SPECIAL_FAULTS])
+def test_special_suite_catches_one_wrong_coefficient(faults, law, fault):
+    fault(faults)
+    entries = {e.law: e for rep in _suite(4) for e in rep.entries}
+    assert set(entries) == {name for name, _ in SPECIAL_FAULTS}
+    entry = entries[law]
+    assert not entry.ok
+    pinned = {
+        "n! eps_n is the one-level bush": f"n=2; lhs - rhs = 2*{CHERRY!r}",
+        "m(., t_lambda; t_mu) matches e_1 m_lambda": "lambda=(), mu=(1,); lhs - rhs = 1",
+        # the lemma tests a predicate: its witness names the case only
+        "identity over all admissible decompositions": (
+            f"t'={L2!r}, u={Forest([DOT])!r}, t={DOT!r}"
+        ),
+    }
+    if law in pinned:
+        assert entry.witness == pinned[law]
+    else:
+        assert "; lhs - rhs = " in entry.witness

@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from hopftrees import symfun
 from hopftrees.freemodule import LinComb, TensorElem, generic_antipode
 from hopftrees.scalar import QQ
 from hopftrees.symfun import (
@@ -217,8 +218,11 @@ def test_basis_expand():
     assert basis_expand("e", 2) == m(1, 1)
     assert basis_expand("h", 2) == m(2) + m(1, 1)
     assert basis_expand("p", 3) == m(3)
-    with pytest.raises(ValueError):
-        basis_expand("q", 1)
+    # e_0 = h_0 = 1; p_0 and negative indices are refused
+    assert basis_expand("e", 0) == basis_expand("h", 0) == m()
+    for name, k in (("p", 0), ("e", -1), ("h", -1), ("q", 1)):
+        with pytest.raises(ValueError):
+            basis_expand(name, k)
 
 
 def test_h_equals_sum_of_M():
@@ -252,6 +256,28 @@ def test_eh_identity():
         + basis_expand("h", 2)
     )
     assert acc.is_zero()
+
+
+@pytest.mark.parametrize(
+    "law, witness",
+    [
+        ("sum (-1)^j e_i h_j = 0", f"degree 2; lhs - rhs = 1*{P([2])!r}"),
+        ("S(e_i) = (-1)^i h_i", f"e_2; lhs - rhs = -1*{P([2])!r}"),
+    ],
+    ids=["alternating sum", "antipode"],
+)
+def test_eh_identity_catches_one_wrong_coefficient(monkeypatch, law, witness):
+    """1 added to the coefficient of m_2 in h_2: both laws fail at degree 2
+    and show the added term."""
+    exact = symfun.basis_expand
+
+    def basis_expand(name, k, ring=QQ):
+        out = exact(name, k, ring)
+        return out + LinComb.term(ring, P([2])) if (name, k) == ("h", 2) else out
+
+    monkeypatch.setattr(symfun, "basis_expand", basis_expand)
+    entry = next(e for e in eh_identity_check(4).entries if e.law == law)
+    assert not entry.ok and entry.witness == witness
 
 
 def test_nsym_ops():
