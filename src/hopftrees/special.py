@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .freemodule import (
     LinComb,
@@ -45,24 +45,50 @@ def kappa(n: int) -> LinComb:
     )
 
 
+# |Sym t| divides n! for every tree t of degree n, so n! kappa_n is integral
+# and the grafting behind kappa and epsilon runs over ZZ; only kappa's
+# weights and the compared values are rational.
+
+
+def _cleared(x, n: int):
+    """n! x over ZZ: a coefficient that n! leaves non-integral raises
+    TypeError, so nothing is ever rounded."""
+    f = factorial(n)
+    return x.map_coeffs(lambda c: c * f, ZZ)
+
+
+def _divided(x, n: int):
+    """x / n! over QQ."""
+    f = factorial(n)
+    return x.map_coeffs(lambda c: Fraction(c, f), QQ)
+
+
 @lru_cache(maxsize=None)
 def epsilon(n: int) -> LinComb:
     """Alternating companions of kappa, defined by the grafting recursion
-    eps_n = kappa_1 o eps_{n-1} - kappa_2 o eps_{n-2} + ... +- kappa_n."""
+    eps_n = kappa_1 o eps_{n-1} - kappa_2 o eps_{n-2} + ... +- kappa_n.
+
+    Grafting runs over ZZ on the cleared recursion
+    n! eps_n = sum_i (-1)^(i-1) C(n,i) (i! kappa_i) o ((n-i)! eps_{n-i})."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         return freeze(LinComb.term(QQ, DOT))
-    gl = gl_ops(QQ)
-    acc = LinComb.zero(QQ)
+    gl = gl_ops(ZZ)
+    acc = LinComb.zero(ZZ)
     for i in range(1, n + 1):
-        term = gl.product_lc(kappa(i), epsilon(n - i))
-        accumulate(acc, term, (-1) ** (i - 1))
-    return freeze(acc)
+        term = gl.product_lc(_cleared(kappa(i), i), _cleared(epsilon(n - i), n - i))
+        accumulate(acc, term, (-1) ** (i - 1) * comb(n, i))
+    return freeze(_divided(acc, n))
 
 
-def natural_growth(x, k: int = 1) -> LinComb:
+def natural_growth(x, k: int = 1, ring=QQ) -> LinComb:
     """Apply t -> (2-vertex ladder) o t  k times: each step adds one new leaf
-    at every vertex in all possible ways."""
-    x = as_lincomb(QQ, x)
+    at every vertex in all possible ways.  A basis element x is taken over
+    ring; a combination keeps its own."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    x = as_lincomb(ring, x)
     gl = gl_ops(x.ring)
     grower = gl.term(ladder(2))
     for _ in range(k):
@@ -72,8 +98,7 @@ def natural_growth(x, k: int = 1) -> LinComb:
 
 def n_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
     """Number of times the target appears in bplus(u) o t."""
-    coeff = gl_ops(QQ).product(bplus(u), t).coeff(target)
-    return ZZ.coerce(coeff)  # a count: raises if it is not an integer
+    return gl_ops(ZZ).product(bplus(u), t).coeff(target)
 
 
 def _cut_tally(target: RootedTree) -> Counter:
@@ -115,14 +140,29 @@ def lemma_check(max_vertices: int) -> Report:
     return rep
 
 
+def _kappa_antipode(n: int) -> LinComb:
+    """S(kappa_n) in kT, as S(n! kappa_n) / n!."""
+    return _divided(gl_ops(ZZ).antipode_lc(_cleared(kappa(n), n)), n)
+
+
+def _divided_powers(n: int) -> tuple:
+    """The coproduct of kappa_n and sum_i kappa_i (x) kappa_{n-i}: both
+    sides n! times over, computed over ZZ, then divided by n!."""
+    lhs = gl_ops(ZZ).coproduct_lc(_cleared(kappa(n), n))
+    rhs = TensorElem.zero(ZZ)
+    for i in range(n + 1):
+        pair = TensorElem.tensor(_cleared(kappa(i), i), _cleared(kappa(n - i), n - i))
+        accumulate(rhs, pair, comb(n, i))
+    return _divided(lhs, n), _divided(rhs, n)
+
+
 def proposition_check(max_degree: int) -> Report:
     """The five structural facts tying kappa and epsilon to the elementary and
     complete symmetric functions."""
     rep = Report("kappa/epsilon family", max_degree)
-    gl = gl_ops(QQ)
 
     def antipode_link(n):
-        s_kappa = gl.antipode_lc(kappa(n))
+        s_kappa = _kappa_antipode(n)
         return difference_witness(f"n={n}", epsilon(n), s_kappa.scale((-1) ** n))
 
     rep.law("eps_n = (-1)^n S(kappa_n)", range(max_degree + 1), antipode_link)
@@ -144,11 +184,7 @@ def proposition_check(max_degree: int) -> Report:
     rep.law("n! eps_n is the one-level bush", range(max_degree + 1), cleared)
 
     def divided(n):
-        lhs = gl.coproduct_lc(kappa(n))
-        rhs = TensorElem.zero(QQ)
-        for i in range(n + 1):
-            accumulate(rhs, TensorElem.tensor(kappa(i), kappa(n - i)), QQ.one)
-        return difference_witness(f"n={n}", lhs, rhs)
+        return difference_witness(f"n={n}", *_divided_powers(n))
 
     rep.law("kappa divided powers", range(max_degree + 1), divided)
 
@@ -170,14 +206,15 @@ def multinomial(parts) -> int:
 
 def growth_formulas_check(max_weight: int) -> Report:
     """Natural-growth consequences: the image identity under phi*, the
-    cut-count/monomial-coefficient match, and the multinomial closed form."""
+    cut-count/monomial-coefficient match, and the multinomial closed form.
+    Every value here is integral, so all of it runs over ZZ."""
     rep = Report("natural growth formulas", max_weight)
-    e1 = basis_expand("e", 1)
+    e1 = basis_expand("e", 1, ZZ)
 
     def image_growth(args):
         t, k = args
-        lhs = phi_star(natural_growth(t, k))
-        rhs = phi_star(t)
+        lhs = phi_star(natural_growth(t, k, ZZ))
+        rhs = phi_star(LinComb.term(ZZ, t))
         for _ in range(k):
             rhs = sym_product(e1, rhs)
         return difference_witness(f"t={t!r}, k={k}", lhs, rhs)
@@ -194,7 +231,7 @@ def growth_formulas_check(max_weight: int) -> Report:
     def count_vs_coeff(pair):
         lam, mu = pair
         lhs = tally(t_lambda(mu.parts))[Forest((DOT,)), t_lambda(lam.parts)]
-        rhs = sym_product(e1, LinComb.term(QQ, lam)).coeff(mu)
+        rhs = sym_product(e1, LinComb.term(ZZ, lam)).coeff(mu)
         return difference_witness(f"lambda={lam.parts}, mu={mu.parts}", lhs, rhs)
 
     pairs = [
@@ -208,7 +245,7 @@ def growth_formulas_check(max_weight: int) -> Report:
 
     def closed_form(lam):
         t = t_lambda(lam.parts)
-        coeff = natural_growth(DOT, lam.weight).coeff(t)
+        coeff = natural_growth(DOT, lam.weight, ZZ).coeff(t)
         want = Fraction(multinomial(lam.parts), sym_order(t))
         return difference_witness(f"lambda={lam.parts}", coeff, want)
 

@@ -11,10 +11,11 @@ from math import factorial
 
 from hopftrees.coproducts import extend_multiplicatively
 from hopftrees.freemodule import LinComb, TensorElem, accumulate, as_lincomb
-from hopftrees.hopf_trees import bminus, bplus
+from hopftrees.hopf_trees import bminus, bplus, gl_ops
 from hopftrees.scalar import ONE_POLY, Poly, QQ, binom_poly
+from hopftrees.special import kappa
 from hopftrees.symfun import EMPTY_COMPOSITION, Composition, Partition
-from hopftrees.trees import PlanarTree, RootedTree, bba_decode, sym_order
+from hopftrees.trees import DOT, PlanarTree, RootedTree, bba_decode, sym_order
 
 # ---------------------------------------------------------------------------
 # grafting products
@@ -295,3 +296,35 @@ def poly_compose(q: Poly, inner: Poly) -> Poly:
     for c in reversed(q.num):
         acc = acc * inner + c
     return acc * Fraction(1, q.den)
+
+
+# ---------------------------------------------------------------------------
+# the kappa/epsilon family over QQ
+#
+# The routes the special suite took before its grafting moved to ZZ on
+# n! kappa_n: every product, coproduct and antipode of kT runs over QQ on
+# kappa_n's 1/|Sym t| weights directly.
+
+
+def epsilon_over_qq(n: int) -> LinComb:
+    """eps_n by its recursion eps_n = sum_i (-1)^(i-1) kappa_i o eps_{n-i}."""
+    if n == 0:
+        return LinComb.term(QQ, DOT)
+    gl = gl_ops(QQ)
+    acc = LinComb.zero(QQ)
+    for i in range(1, n + 1):
+        term = gl.product_lc(kappa(i), epsilon_over_qq(n - i))
+        accumulate(acc, term, (-1) ** (i - 1))
+    return acc
+
+
+def kappa_antipode_over_qq(n: int) -> LinComb:
+    return gl_ops(QQ).antipode_lc(kappa(n))
+
+
+def divided_powers_over_qq(n: int) -> tuple:
+    """The coproduct of kappa_n and sum_i kappa_i (x) kappa_{n-i}."""
+    rhs = TensorElem.zero(QQ)
+    for i in range(n + 1):
+        accumulate(rhs, TensorElem.tensor(kappa(i), kappa(n - i)), 1)
+    return gl_ops(QQ).coproduct_lc(kappa(n)), rhs

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hopftrees import cli
+from hopftrees import cli, special
 from hopftrees.cli import (
     ExprParseError,
     parse_expr,
@@ -16,6 +16,7 @@ from hopftrees.cli import (
     run,
 )
 from hopftrees.freemodule import HopfOps, LinComb, Report, check_axioms
+from hopftrees.hopf_trees import gl_ops
 from hopftrees.scalar import P, QP, QQ, ZZ, binom_poly
 from hopftrees.symfun import Composition, Partition
 from hopftrees.trees import DOT, Forest, OrderedForest, RootedTree, bba_decode, ladder
@@ -406,6 +407,20 @@ def test_integral_suites_run_over_zz(monkeypatch, capsys):
     assert len(seen) == 7 + 2 * 2 and all(ring is ZZ for ring in seen)
 
 
+def test_special_suite_grafts_over_zz_only(monkeypatch):
+    # one kT ops for the suite: no QQ memo is built beside the ZZ one
+    seen = []
+
+    def recording(ring=QQ):
+        seen.append(ring)
+        return gl_ops(ring)
+
+    monkeypatch.setattr(special, "gl_ops", recording)
+    special.epsilon.cache_clear()  # so the recursion asks too
+    assert all(rep.passed for rep in cli._suite_special(5))
+    assert seen and all(ring is ZZ for ring in seen)
+
+
 def test_non_integral_constant_over_zz_is_an_error(monkeypatch, capsys):
     base = cli.nsym_ops(ZZ)
 
@@ -473,6 +488,10 @@ def test_cli_usage_errors(capsys):
     assert run(["nonsense"]) == 2
     assert run(["enumerate", "--kind", "rooted", "-n", "99"]) == 2
     assert run(["dse", "--max-degree", "3", "--p", "1/0"]) == 2
+    assert run(["special", "kappa", "--", "-1"]) == 2
+    assert run(["special", "epsilon", "--", "-2"]) == 2
+    assert run(["special", "growth", "--expr", "(<>)", "--k", "-2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_resource_vs_check_exit():

@@ -7,7 +7,7 @@ import pytest
 from hopftrees import special
 from hopftrees.freemodule import LinComb, TensorElem, accumulate
 from hopftrees.hopf_trees import gl_ops
-from hopftrees.scalar import QQ
+from hopftrees.scalar import QQ, ZZ
 from hopftrees.special import (
     epsilon,
     growth_formulas_check,
@@ -31,6 +31,7 @@ from hopftrees.trees import (
     t_lambda,
 )
 from hopftrees.morphisms import phi_star, rho_star
+from oracles import divided_powers_over_qq, epsilon_over_qq, kappa_antipode_over_qq
 
 CHERRY = RootedTree([DOT, DOT])
 L2, L3 = ladder(2), ladder(3)
@@ -73,10 +74,37 @@ def test_epsilon_examples():
         )
 
 
+def test_negative_degrees_and_steps_are_refused():
+    for family in (kappa, epsilon):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            family(-1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        natural_growth(DOT, -2)
+    assert natural_growth(DOT, 0) == LinComb.term(QQ, DOT)
+
+
+def test_zz_routes_match_the_qq_routes():
+    # the suite grafts n! kappa_n over ZZ; the oracles graft kappa_n over QQ
+    for n in range(8):
+        assert epsilon(n) == epsilon_over_qq(n)
+        assert special._kappa_antipode(n) == kappa_antipode_over_qq(n)
+        assert special._divided_powers(n) == divided_powers_over_qq(n)
+
+
+def test_clearing_never_rounds():
+    # kappa_3 has the weight 1/6 on the 3-leaf bush: 2! kappa_3 is not integral
+    with pytest.raises(TypeError, match="integer"):
+        special._cleared(kappa(3), 2)
+    cleared = special._cleared(kappa(3), 3)
+    assert cleared.ring is ZZ and cleared.coeff(t_lambda([1, 1, 1])) == 1
+    assert special._divided(cleared, 3) == kappa(3)
+
+
 def test_natural_growth_examples():
     assert natural_growth(DOT) == LinComb.term(QQ, L2)
     assert natural_growth(DOT, 2) == LinComb(QQ, {L3: 1, CHERRY: 1})
     assert natural_growth(DOT, 3).coeff(t_lambda((1, 1, 1))) == 1
+    assert natural_growth(DOT, 2, ZZ) == LinComb(ZZ, {L3: 1, CHERRY: 1})
 
 
 def test_count_examples():
@@ -168,8 +196,8 @@ def _epsilon_fault(monkeypatch):
 def _growth_fault(monkeypatch):
     exact = special.natural_growth
 
-    def natural_growth(x, k=1):
-        out = exact(x, k)
+    def natural_growth(x, k=1, ring=QQ):
+        out = exact(x, k, ring)
         return _add_one(out, L3) if (x, k) == (DOT, 2) else out
 
     monkeypatch.setattr(special, "natural_growth", natural_growth)
