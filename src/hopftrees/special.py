@@ -82,13 +82,13 @@ def epsilon(n: int) -> LinComb:
     return freeze(_divided(acc, n))
 
 
-def natural_growth(x, k: int = 1, ring=QQ) -> LinComb:
+def natural_growth(x, k: int = 1) -> LinComb:
     """Apply t -> (2-vertex ladder) o t  k times: each step adds one new leaf
-    at every vertex in all possible ways.  A basis element x is taken over
-    ring; a combination keeps its own."""
+    at every vertex in all possible ways.  A basis element x is taken over QQ;
+    a combination keeps its own ring."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    x = as_lincomb(ring, x)
+    x = as_lincomb(QQ, x)
     gl = gl_ops(x.ring)
     grower = gl.term(ladder(2))
     for _ in range(k):
@@ -213,8 +213,9 @@ def growth_formulas_check(max_weight: int) -> Report:
 
     def image_growth(args):
         t, k = args
-        lhs = phi_star(natural_growth(t, k, ZZ))
-        rhs = phi_star(LinComb.term(ZZ, t))
+        x = LinComb.term(ZZ, t)
+        lhs = phi_star(natural_growth(x, k))
+        rhs = phi_star(x)
         for _ in range(k):
             rhs = sym_product(e1, rhs)
         return difference_witness(f"t={t!r}, k={k}", lhs, rhs)
@@ -245,7 +246,7 @@ def growth_formulas_check(max_weight: int) -> Report:
 
     def closed_form(lam):
         t = t_lambda(lam.parts)
-        coeff = natural_growth(DOT, lam.weight, ZZ).coeff(t)
+        coeff = natural_growth(LinComb.term(ZZ, DOT), lam.weight).coeff(t)
         want = Fraction(multinomial(lam.parts), sym_order(t))
         return difference_witness(f"lambda={lam.parts}", coeff, want)
 

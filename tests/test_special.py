@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from hopftrees import special
-from hopftrees.freemodule import LinComb, TensorElem, accumulate
+from hopftrees.freemodule import LinComb, TensorElem, accumulate, as_lincomb
 from hopftrees.hopf_trees import gl_ops
 from hopftrees.scalar import QQ, ZZ
 from hopftrees.special import (
@@ -104,7 +104,7 @@ def test_natural_growth_examples():
     assert natural_growth(DOT) == LinComb.term(QQ, L2)
     assert natural_growth(DOT, 2) == LinComb(QQ, {L3: 1, CHERRY: 1})
     assert natural_growth(DOT, 3).coeff(t_lambda((1, 1, 1))) == 1
-    assert natural_growth(DOT, 2, ZZ) == LinComb(ZZ, {L3: 1, CHERRY: 1})
+    assert natural_growth(LinComb.term(ZZ, DOT), 2) == LinComb(ZZ, {L3: 1, CHERRY: 1})
 
 
 def test_count_examples():
@@ -196,9 +196,10 @@ def _epsilon_fault(monkeypatch):
 def _growth_fault(monkeypatch):
     exact = special.natural_growth
 
-    def natural_growth(x, k=1, ring=QQ):
-        out = exact(x, k, ring)
-        return _add_one(out, L3) if (x, k) == (DOT, 2) else out
+    def natural_growth(x, k=1):
+        out = exact(x, k)
+        grows_dot = k == 2 and as_lincomb(QQ, x).support() == {DOT}
+        return _add_one(out, L3) if grows_dot else out
 
     monkeypatch.setattr(special, "natural_growth", natural_growth)
 
