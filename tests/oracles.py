@@ -301,9 +301,9 @@ def poly_compose(q: Poly, inner: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # the kappa/epsilon family over QQ
 #
-# The routes the special suite took before its grafting moved to ZZ on
-# n! kappa_n: every product, coproduct and antipode of kT runs over QQ on
-# kappa_n's 1/|Sym t| weights directly.
+# Every product, coproduct and antipode of kT here runs over QQ on kappa_n's
+# 1/|Sym t| weights directly: a second route to the values the special suite
+# computes over ZZ on n! kappa_n.
 
 
 def epsilon_over_qq(n: int) -> LinComb:
