@@ -532,7 +532,7 @@ def _cmd_special(args) -> int:
         print(render_lincomb(special.natural_growth(expr.value, args.k), "gl"))
         return 0
     if args.what == "check":
-        return _emit_reports(_suite_special(args.max_degree), args.format)
+        return _emit_reports(_suite_special(_max_degree(args.max_degree)), args.format)
     raise ValueError(args.what)
 
 
@@ -544,16 +544,22 @@ def _specialization(text: str) -> Fraction:
         raise ValueError(f"zero denominator in --p {text}") from None
 
 
+def _max_degree(n: int) -> int:
+    """The value of --max-degree; a negative one is a usage error."""
+    if n < 0:
+        raise ValueError(f"--max-degree must be nonnegative, not {n}")
+    return n
+
+
 def _cmd_dse(args) -> int:
+    n = _max_degree(args.max_degree)
     value = None if args.p is None else _specialization(args.p)
-    sol = dse_mod.solve_recursive(args.max_degree)
-    closed = dse_mod.solve_closed(args.max_degree)
+    sol = dse_mod.solve_recursive(n)
+    closed = dse_mod.solve_closed(n)
     reports = [_consistency_report(sol, closed)]
     if args.check_coproduct:
         reports.append(
-            dse_mod.coproduct_theorem_check(
-                min(args.max_degree, 6), min(args.max_degree, 5), closed
-            )
+            dse_mod.coproduct_theorem_check(*dse_mod.coproduct_check_degrees(n), closed)
         )
     algebra = "ck" if args.algebra == "ck" else "foissy"
     terms = sol.hk_terms if algebra == "ck" else sol.hf_terms
@@ -627,7 +633,8 @@ def _suite_dse(n: int):
         range(1, n + 1),
         lambda d: None if dse_mod.ladder_specialization_holds(closed, d) else f"degree {d}",
     )
-    return [rep, dse_mod.coproduct_theorem_check(min(n, 6), min(n, 5), closed)]
+    degrees = dse_mod.coproduct_check_degrees(n)
+    return [rep, dse_mod.coproduct_theorem_check(*degrees, closed)]
 
 
 _SUITES = {
@@ -645,7 +652,7 @@ def _cmd_check(args) -> int:
     for name in names:
         runner, default_degree = _SUITES[name]
         degree = args.max_degree if args.max_degree is not None else default_degree
-        reports.extend(runner(degree))
+        reports.extend(runner(_max_degree(degree)))
     return _emit_reports(reports, args.format)
 
 

@@ -44,17 +44,20 @@ class Poly:
     representation, and arithmetic adds and convolves plain ints and reduces
     once per result.  Values are immutable (rebinding num or den raises) and
     hashable, so caches may share them, and they mix freely with int and
-    Fraction in arithmetic.
+    Fraction in arithmetic.  The hash is computed once, on construction, and
+    a constant hashes as the int or Fraction it equals.
+
+    A product of two nonzero, non-unit factors is memoised by the factors'
+    values and kept once per value (see _PRODUCTS), so equal products of
+    that kind are one object, whatever factors gave them.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        num, den = _reduce([c.numerator * (den // c.denominator) for c in cs], den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _fill(self, *_reduce([c.numerator * (den // c.denominator) for c in cs], den))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly values are immutable")
@@ -98,7 +101,7 @@ class Poly:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("Poly", self.num, self.den))
+        return self._hash
 
     def __add__(self, other) -> "Poly":
         other = _promote(other)
@@ -151,19 +154,11 @@ class Poly:
             return other
         if not a or not b:
             return ZERO_POLY
-        if len(a) == 1:
-            ca = a[0]
-            out = [ca * x for x in b]
-        elif len(b) == 1:
-            cb = b[0]
-            out = [x * cb for x in a]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b, i):
-                        out[j] += ca * cb
-        return _make(out, self.den * other.den)
+        out = _PRODUCTS.get((self, other))
+        if out is None:
+            out = _make(_convolve(a, b), self.den * other.den)
+            out = _PRODUCTS[self, other] = _PRODUCT_VALUES.setdefault(out, out)
+        return out
 
     __rmul__ = __mul__
 
@@ -200,11 +195,44 @@ def _reduce(num: list, den: int) -> tuple:
     return tuple(num), den
 
 
+def _convolve(a: tuple, b: tuple) -> list:
+    """The coefficients of the product of two nonzero numerator tuples."""
+    if len(a) == 1:
+        ca = a[0]
+        return [ca * x for x in b]
+    if len(b) == 1:
+        cb = b[0]
+        return [x * cb for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+# The slot descriptors' setters write past Poly.__setattr__.
+_SET_NUM, _SET_DEN, _SET_HASH = (vars(Poly)[name].__set__ for name in Poly.__slots__)
+
+
+def _fill(q: Poly, num: tuple, den: int) -> None:
+    """Set the canonical numerators and denominator of q, and its hash: a
+    constant's is that of the int or Fraction it equals, as == requires."""
+    _SET_NUM(q, num)
+    _SET_DEN(q, den)
+    if len(num) > 1:
+        h = hash((num, den))
+    elif not num:
+        h = 0
+    else:
+        h = hash(num[0]) if den == 1 else hash(Fraction(num[0], den))
+    _SET_HASH(q, h)
+
+
 def _raw(num: tuple, den: int) -> Poly:
     """Wrap numerators and a denominator that are already canonical."""
     q = object.__new__(Poly)
-    object.__setattr__(q, "num", num)
-    object.__setattr__(q, "den", den)
+    _fill(q, num, den)
     return q
 
 
@@ -221,6 +249,16 @@ def _promote(x):
         return _raw((x.numerator,), x.denominator) if x else ZERO_POLY
     return NotImplemented
 
+
+# Poly.__mul__'s memo: (a, b) -> a * b for nonzero, non-unit factors, keyed
+# by their values, and each product value once.  Keys and values are
+# immutable Poly values, and the tables hold them for the life of the
+# process, as binom_poly's cache and the interning tables do; their size is
+# the number of distinct factor pairs the process multiplies.  A DSE part's
+# coefficients are products of a few binomials binom(p, c), so its many
+# terms share a few values.
+_PRODUCTS: dict = {}
+_PRODUCT_VALUES: dict = {}
 
 ZERO_POLY = _raw((), 1)
 ONE_POLY = _raw((1,), 1)

@@ -72,6 +72,11 @@ def _by_key(items) -> tuple:
     return tuple(sorted(items, key=_KEY))
 
 
+def _bracket(kids) -> str:
+    """The bracket string of a root over kids, from theirs, in their order."""
+    return "<" + "><".join(map(_BBA, kids)) + ">" if kids else ""
+
+
 class PlanarTree(Interned):
     """Planar rooted tree: an ordered sequence of planar subtrees under a root.
 
@@ -83,8 +88,7 @@ class PlanarTree(Interned):
 
     @staticmethod
     def _fields(kids):
-        bba = "<" + "><".join(map(_BBA, kids)) + ">" if kids else ""
-        return kids, 1 + sum(map(_SIZE, kids)), bba
+        return kids, 1 + sum(map(_SIZE, kids)), _bracket(kids)
 
     @property
     def sort_key(self):
@@ -95,24 +99,23 @@ class PlanarTree(Interned):
 
 
 class RootedTree(Interned):
-    """Rooted tree in canonical form; children are sorted on construction."""
+    """Rooted tree in canonical form; children are sorted on construction.
 
-    __slots__ = ("children", "size", "key")
+    ``bba`` is the bracket string of the canonical planar realization, built
+    from the children's in canonical order.
+    """
+
+    __slots__ = ("children", "size", "key", "bba")
     _canonical = staticmethod(_by_key)
 
     @staticmethod
     def _fields(kids):
         size = 1 + sum(map(_SIZE, kids))
-        return kids, size, (size, tuple(map(_KEY, kids)))
+        return kids, size, (size, tuple(map(_KEY, kids))), _bracket(kids)
 
     @property
     def sort_key(self):
         return self.key
-
-    @property
-    def bba(self) -> str:
-        """The bracket string of the canonical planar realization."""
-        return to_planar(self).bba
 
     def __repr__(self):
         return f"RootedTree({self.bba!r})"
@@ -205,6 +208,22 @@ def to_planar(t: RootedTree) -> PlanarTree:
     return PlanarTree(to_planar(c) for c in t.children)
 
 
+def _equal_child_factorials(t: RootedTree) -> int:
+    """m_1! m_2! ..., where the m_j are the multiplicities of isomorphic
+    subtrees among the children of the root."""
+    out = 1
+    run = 0
+    prev = None
+    for c in t.children:
+        if c == prev:
+            run += 1
+        else:
+            run = 1
+            prev = c
+        out *= run  # accumulates run! across the run of equal children
+    return out
+
+
 @lru_cache(maxsize=None)
 def sym_order(t: RootedTree) -> int:
     """|Sym(t)|: the order of the automorphism group of the rooted tree.
@@ -212,34 +231,19 @@ def sym_order(t: RootedTree) -> int:
     Equals the product over vertices of m_1! m_2! ... where the m_j are the
     multiplicities of isomorphic subtrees among the vertex's children.
     """
-    order = 1
-    run = 0
-    prev = None
-    for c in t.children:
-        order *= sym_order(c)
-        if c == prev:
-            run += 1
-        else:
-            run = 1
-            prev = c
-        order *= run  # accumulates run! across the run of equal children
-    return order
-
-
-def child_factorial_product(t) -> int:
-    """Product of c(v)! over all vertices; accepts rooted or planar trees."""
-    return factorial(len(t.children)) * prod(
-        child_factorial_product(c) for c in t.children
-    )
+    return _equal_child_factorials(t) * prod(map(sym_order, t.children))
 
 
 @lru_cache(maxsize=None)
 def embedding_count(t: RootedTree) -> int:
-    """e(t): the number of planar trees whose underlying rooted tree is t."""
-    count, rest = divmod(child_factorial_product(t), sym_order(t))
-    if rest:
-        raise ArithmeticError(f"e({t!r}) is not an integer")
-    return count
+    """e(t): the number of planar trees whose underlying rooted tree is t.
+
+    The k children of the root have k!/(m_1! m_2! ...) distinct orders,
+    where the m_j count isomorphic children, and each child c has e(c)
+    planar forms of its own.
+    """
+    orders = factorial(len(t.children)) // _equal_child_factorials(t)
+    return orders * prod(map(embedding_count, t.children))
 
 
 @lru_cache(maxsize=None)

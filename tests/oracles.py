@@ -273,6 +273,18 @@ def series_product(d1: dict, d2: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# tree statistics
+
+
+def child_factorial_product(t) -> int:
+    """Product of c(v)! over all vertices; accepts rooted or planar trees."""
+    out = factorial(len(t.children))
+    for c in t.children:
+        out *= child_factorial_product(c)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # polynomial coefficients of the Dyson-Schwinger solution
 
 

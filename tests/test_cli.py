@@ -491,7 +491,16 @@ def test_cli_usage_errors(capsys):
     assert run(["special", "kappa", "--", "-1"]) == 2
     assert run(["special", "epsilon", "--", "-2"]) == 2
     assert run(["special", "growth", "--expr", "(<>)", "--k", "-2"]) == 2
-    assert capsys.readouterr().out == ""
+    # a negative degree is refused before any law runs, not reported as
+    # laws that checked no case
+    assert run(["check", "--suite", "axioms", "--max-degree", "-1"]) == 2
+    assert run(["special", "check", "--max-degree", "-1"]) == 2
+    assert run(["dse", "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-3:] == [
+        "error: --max-degree must be nonnegative, not -1"
+    ] * 3
 
 
 def test_cli_resource_vs_check_exit():

@@ -104,6 +104,17 @@ def test_shared_coefficients_are_immutable():
     assert cp_coefficient(tree).coeffs == (0, 0, -half, half)
 
 
+def test_recursive_parts_share_their_coefficients():
+    # every coefficient of the recursion is a product of binomials, and equal
+    # products are one object: a part holds one object per distinct value
+    sol = solve_recursive(8)
+    for n in range(1, 9):
+        for part in (sol.hf(n), sol.hk(n)):
+            coeffs = part.terms.values()
+            assert len({id(c) for c in coeffs}) == len(set(coeffs))
+    assert len(sol.hf(8).terms) == 429 and len(set(sol.hf(8).terms.values())) == 15
+
+
 def test_recursive_small_degrees_by_hand():
     # X_{n+1} = sum_k binom(p, k) B+(sum of ordered k-fold products of lower
     # parts of total degree n), expanded by hand up to degree 4

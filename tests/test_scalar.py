@@ -249,6 +249,27 @@ def test_poly_zero_normalization_and_hash():
     assert Poly((Fraction(1, 2),)) * 2 == ONE_POLY
 
 
+@given(small_rationals)
+def test_constant_polys_hash_as_the_number_they_equal(r):
+    # == holds between a constant and its number, so hash must agree too
+    for x in (r, r.numerator):
+        q = Poly.const(x)
+        assert q == x and hash(q) == hash(x)
+        assert {x: "x"}.get(q) == "x" and {q: "q"}.get(x) == "q"
+        assert len({q, x}) == 1
+    assert len({ONE_POLY, 1}) == 1 and len({ZERO_POLY, 0, Fraction(0)}) == 1
+
+
+def test_equal_factors_give_the_identical_product():
+    a, b = Poly((1, Fraction(2, 3))), binom_poly(3) * 2
+    first = a * b
+    # factors equal in value but built afresh, and in either order
+    again = Poly((1, Fraction(2, 3))) * (binom_poly(3) * 2)
+    assert again is first and b * a is first
+    # so is an equal product of other factors
+    assert (P * P) * binom_poly(2) is P * (P * binom_poly(2))
+
+
 def test_rendering():
     assert str(Fraction(5, 6)) == "5/6"
     assert str(Fraction(-3)) == "-3"

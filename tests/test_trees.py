@@ -17,7 +17,6 @@ from hopftrees.trees import (
     bba_decode,
     canonicalize,
     catalan,
-    child_factorial_product,
     degree_ceiling,
     embedding_count,
     enumerate_planar,
@@ -30,6 +29,8 @@ from hopftrees.trees import (
     t_lambda,
     to_planar,
 )
+
+from oracles import child_factorial_product
 
 CHERRY = RootedTree([DOT, DOT])
 
@@ -150,13 +151,16 @@ def test_embedding_count_examples():
     }
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_embedding_count_vs_preimages_and_symmetry(n):
+    # embedding_count and the stored bba come from the children; the
+    # realizations and to_planar build each tree's planar forms afresh
     for t in enumerate_rooted(n):
         realizations = planar_realizations(t)
         assert len(realizations) == embedding_count(t)
         assert len(set(realizations)) == len(realizations)
         assert embedding_count(t) * sym_order(t) == child_factorial_product(t)
+        assert t.bba == to_planar(t).bba
 
 
 def test_planar_preimage_partition():
