@@ -57,12 +57,18 @@ from .trees import (
     _Forest,
     bba_decode,
     canonicalize,
+    check_weight,
+    degree_ceiling,
     enumerate_planar,
     enumerate_rooted,
 )
 
 
-class ExprParseError(ValueError):
+class UsageError(ValueError):
+    """A malformed command line: the CLI exits 2 with the message."""
+
+
+class ExprParseError(UsageError):
     def __init__(self, pos: int, message: str):
         super().__init__(f"offset {pos}: {message}")
         self.pos = pos
@@ -144,7 +150,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's integer string limit
+            self.error("integer literal too long", start)
 
     def parse_number(self) -> Fraction:
         num = self.parse_int()
@@ -438,7 +447,7 @@ def lincomb_json(x: LinComb, algebra: str) -> list:
 
 def _cmd_enumerate(args) -> int:
     enumerate_trees = enumerate_planar if args.kind == "planar" else enumerate_rooted
-    for t in enumerate_trees(args.n):
+    for t in enumerate_trees(_nonnegative("-n", args.n)):
         print(f"({t.bba})")
     return 0
 
@@ -522,17 +531,19 @@ def _cmd_map(args) -> int:
 
 def _cmd_special(args) -> int:
     if args.what == "kappa":
-        print(render_lincomb(special.kappa(args.n), "gl"))
+        print(render_lincomb(special.kappa(_nonnegative("n", args.n)), "gl"))
         return 0
     if args.what == "epsilon":
-        print(render_lincomb(special.epsilon(args.n), "gl"))
+        print(render_lincomb(special.epsilon(_nonnegative("n", args.n)), "gl"))
         return 0
     if args.what == "growth":
+        k = _nonnegative("--k", args.k)
         expr = parse_expr(args.expr, "gl", "rational")
-        print(render_lincomb(special.natural_growth(expr.value, args.k), "gl"))
+        print(render_lincomb(special.natural_growth(expr.value, k), "gl"))
         return 0
     if args.what == "check":
-        return _emit_reports(_suite_special(_max_degree(args.max_degree)), args.format)
+        n = _nonnegative("--max-degree", args.max_degree)
+        return _emit_reports(_suite_special(n), args.format)
     raise ValueError(args.what)
 
 
@@ -541,21 +552,31 @@ def _specialization(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in --p {text}") from None
+        raise UsageError(f"zero denominator in --p {text}") from None
+    except ValueError:
+        raise UsageError(f"--p must be a rational number, not {text!r}") from None
 
 
-def _max_degree(n: int) -> int:
-    """The value of --max-degree; a negative one is a usage error."""
+def _nonnegative(flag: str, n: int) -> int:
+    """The value of an integer option or argument; a negative one is a
+    usage error."""
     if n < 0:
-        raise ValueError(f"--max-degree must be nonnegative, not {n}")
+        raise UsageError(f"{flag} must be nonnegative, not {n}")
     return n
 
 
+def _dse_solutions(n: int) -> tuple:
+    """The recursive and the closed DSE solution to degree n.  The closed
+    form enumerates the planar trees of n vertices, weight n - 1, so a
+    degree above the ceiling is refused before either solution starts."""
+    check_weight(max(n - 1, 0), "dse solution")
+    return dse_mod.solve_recursive(n), dse_mod.solve_closed(n)
+
+
 def _cmd_dse(args) -> int:
-    n = _max_degree(args.max_degree)
+    n = _nonnegative("--max-degree", args.max_degree)
     value = None if args.p is None else _specialization(args.p)
-    sol = dse_mod.solve_recursive(n)
-    closed = dse_mod.solve_closed(n)
+    sol, closed = _dse_solutions(n)
     reports = [_consistency_report(sol, closed)]
     if args.check_coproduct:
         reports.append(
@@ -579,11 +600,16 @@ def _cmd_dse(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# Every suite enumerates trees, cuts or arrangements up to weight n, the
+# degree it runs to (the dse suite n - 1), so each refuses a degree above
+# the ceiling before its first law.
+#
 # Every structure constant of the seven algebras counts something (graftings,
 # cuts, shuffles, quasi-shuffles, deconcatenations), and so does every tree
 # pairing, so the axiom and duality suites run over the integers; ZZ rejects
 # a non-integral coefficient instead of rounding it.
 def _suite_axioms(n: int):
+    check_weight(n, "axioms suite")
     out = []
     for factory in (gl_ops, ck_ops, kp_ops, sym_ops, qsym_ops, nsym_ops):
         out.append(check_axioms(factory(ZZ), n))
@@ -592,6 +618,7 @@ def _suite_axioms(n: int):
 
 
 def _suite_duality(n: int):
+    check_weight(n, "duality suite")
     return [
         duality_check(ck_ops(ZZ), gl_ops(ZZ), bplus, pairing_hk, pairing_kt_hk, n),
         duality_check(hf_ops(ZZ), kp_ops(ZZ), bplus, pairing_hf, pairing_kp_hf, n),
@@ -599,10 +626,12 @@ def _suite_duality(n: int):
 
 
 def _suite_diagrams(n: int):
+    check_weight(n, "diagrams suite")
     return [morphisms.diagram_check("d1", n), morphisms.diagram_check("d2", n)]
 
 
 def _suite_special(n: int):
+    check_weight(n, "special suite")
     return [
         special.proposition_check(n),
         special.growth_formulas_check(n),
@@ -625,8 +654,7 @@ def _consistency_report(sol, closed) -> Report:
 
 
 def _suite_dse(n: int):
-    sol = dse_mod.solve_recursive(n)
-    closed = dse_mod.solve_closed(n)
+    sol, closed = _dse_solutions(n)
     rep = _consistency_report(sol, closed)
     rep.law(
         "ladders at p=1",
@@ -652,7 +680,7 @@ def _cmd_check(args) -> int:
     for name in names:
         runner, default_degree = _SUITES[name]
         degree = args.max_degree if args.max_degree is not None else default_degree
-        reports.extend(runner(_max_degree(degree)))
+        reports.extend(runner(_nonnegative("--max-degree", degree)))
     return _emit_reports(reports, args.format)
 
 
@@ -733,15 +761,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Entry point returning the exit code: 0 success, 1 failed checks, 2 usage."""
+    """Entry point returning the exit code: 0 success, 1 failed checks, 2 a
+    usage error or a refused resource limit.  Any other exception is a fault
+    of the program and propagates."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        degree_ceiling()  # a malformed HOPFTREES_MAX_DEGREE fails every command
         return args.func(args)
-    except (ExprParseError, BBAParseError, ResourceLimitError, ValueError) as exc:
+    except (UsageError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

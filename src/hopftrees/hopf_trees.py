@@ -17,7 +17,6 @@ from .coproducts import extend_multiplicatively, prefixes, split_coproduct, subm
 from .freemodule import HopfOps, LinComb, MonomialProduct, TensorElem
 from .scalar import QQ
 from .trees import (
-    CUT_VERTEX_CAP,
     DOT,
     EMPTY_FOREST,
     EMPTY_ORDERED,
@@ -25,12 +24,11 @@ from .trees import (
     OrderedForest,
     PlanarTree,
     PDOT,
-    ResourceLimitError,
     RootedTree,
     _Forest,
+    check_weight,
     enumerate_planar,
     enumerate_rooted,
-    env_ceiling,
     sym_order,
 )
 
@@ -102,11 +100,7 @@ def cuts_of(tree, admissible_only: bool = False) -> list:
     """All 2^(edge count) cuts of a rooted or planar tree, or just the
     admissible ones; the pieces have the tree's own type, and the fallen
     part its forest type."""
-    cap = env_ceiling(CUT_VERTEX_CAP)
-    if tree.size > cap:
-        raise ResourceLimitError(
-            f"cut enumeration on {tree.size} vertices exceeds cap {cap}"
-        )
+    check_weight(tree.size - 1, "cut enumeration")
     forest = tree.forest
     return [
         Cut(forest(fallen), root, weight, admissible)

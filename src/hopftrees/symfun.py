@@ -25,6 +25,7 @@ from .freemodule import (
     freeze,
 )
 from .scalar import QQ
+from .trees import check_weight
 
 
 class _Parts(Interned):
@@ -158,7 +159,9 @@ def compositions_of_length(n: int, k: int):
 
 
 def coarsenings(comp: Composition):
-    """All compositions obtained by merging adjacent parts of comp."""
+    """All compositions obtained by merging adjacent parts of comp: 2^(k-1)
+    of them for k parts."""
+    check_weight(comp.weight, "coarsening enumeration")
     parts = comp.parts
     if not parts:
         return [comp]
@@ -176,7 +179,9 @@ def coarsenings(comp: Composition):
 
 
 def distinct_arrangements(lam: Partition):
-    """All distinct compositions whose underlying partition is lam."""
+    """All distinct compositions whose underlying partition is lam, found
+    among all k! orders of its k parts."""
+    check_weight(lam.weight, "arrangement enumeration")
     seen = sorted(set(itertools.permutations(lam.parts)))
     return [Composition(p) for p in seen]
 

@@ -30,23 +30,20 @@ from operator import attrgetter
 from .freemodule import Interned
 
 DEFAULT_MAX_DEGREE = 10
-CUT_VERTEX_CAP = 8
-
-
-def env_ceiling(default: int) -> int:
-    """HOPFTREES_MAX_DEGREE when it holds an integer, otherwise ``default``."""
-    env = os.environ.get("HOPFTREES_MAX_DEGREE")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return default
 
 
 def degree_ceiling() -> int:
-    """Hard enumeration ceiling; HOPFTREES_MAX_DEGREE overrides the default."""
-    return env_ceiling(DEFAULT_MAX_DEGREE)
+    """The highest weight any exponential enumeration may reach:
+    HOPFTREES_MAX_DEGREE, or DEFAULT_MAX_DEGREE when it is unset or empty.
+    A value that is not a nonnegative integer is refused."""
+    env = os.environ.get("HOPFTREES_MAX_DEGREE")
+    if not env:
+        return DEFAULT_MAX_DEGREE
+    if not (env.isascii() and env.isdigit()):
+        raise ResourceLimitError(
+            f"HOPFTREES_MAX_DEGREE must be a nonnegative integer, not {env!r}"
+        )
+    return int(env)
 
 
 class BBAParseError(ValueError):
@@ -59,7 +56,8 @@ class BBAParseError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested enumeration or cut expansion exceeds the configured bound."""
+    """Requested work exceeds the degree ceiling, or HOPFTREES_MAX_DEGREE
+    does not state one."""
 
 
 _KEY = attrgetter("key")
@@ -248,7 +246,9 @@ def embedding_count(t: RootedTree) -> int:
 
 @lru_cache(maxsize=None)
 def planar_realizations(t: RootedTree) -> tuple:
-    """All planar trees T with canonicalize(T) == t; length equals e(t)."""
+    """All planar trees T with canonicalize(T) == t; length equals e(t).
+    The orders of the root's children are found among all k! permutations."""
+    check_weight(t.size - 1, "planar realization")
     if not t.children:
         return (PDOT,)
     arrangements = sorted(
@@ -266,15 +266,14 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _check_weight(n: int, kind: str) -> None:
-    """Refuse a ``kind`` ("planar" or "rooted") enumeration at weight n
-    above the degree ceiling."""
+def check_weight(n: int, what: str) -> None:
+    """Refuse ``what`` (an enumeration whose cost grows exponentially with
+    the weight) at weight n above the degree ceiling."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > degree_ceiling():
-        raise ResourceLimitError(
-            f"{kind} enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
-        )
+    ceiling = degree_ceiling()
+    if n > ceiling:
+        raise ResourceLimitError(f"{what} at weight {n} exceeds ceiling {ceiling}")
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +284,7 @@ def enumerate_planar(n: int) -> tuple:
     sum to n.  The generation order is not BBA order (``<<><<>>>`` sorts
     after ``<<<>>>...``), so the result is sorted.
     """
-    _check_weight(n, "planar")
+    check_weight(n, "planar enumeration")
     out = []
 
     def grow(remaining, kids):
@@ -309,7 +308,7 @@ def enumerate_rooted(n: int) -> tuple:
     the children are chosen in nonincreasing (size, index) order over the
     smaller trees, so each multiset is built exactly once.
     """
-    _check_weight(n, "rooted")
+    check_weight(n, "rooted enumeration")
     pool = [t for m in range(n) for t in enumerate_rooted(m)]
     # last[r]: index of the last pool tree with at most r vertices
     last = [-1] * (n + 1)

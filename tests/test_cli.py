@@ -19,7 +19,15 @@ from hopftrees.freemodule import HopfOps, LinComb, Report, check_axioms
 from hopftrees.hopf_trees import gl_ops
 from hopftrees.scalar import P, QP, QQ, ZZ, binom_poly
 from hopftrees.symfun import Composition, Partition
-from hopftrees.trees import DOT, Forest, OrderedForest, RootedTree, bba_decode, ladder
+from hopftrees.trees import (
+    DOT,
+    Forest,
+    OrderedForest,
+    RootedTree,
+    bba_decode,
+    degree_ceiling,
+    ladder,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "paper_displays.txt"
@@ -506,6 +514,119 @@ def test_cli_usage_errors(capsys):
 def test_cli_resource_vs_check_exit():
     # degree cap violations are usage errors, not check failures
     assert run(["enumerate", "--kind", "planar", "-n", "50"]) == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    # only usage errors and refused limits exit 2; a ValueError raised inside
+    # a structure map is a fault of the program and propagates
+    base = cli.nsym_ops(ZZ)
+
+    def broken(a, b):
+        raise ValueError("broken product")
+
+    monkeypatch.setattr(
+        cli,
+        "nsym_ops",
+        lambda ring: HopfOps(
+            name="NSym",
+            ring=ZZ,
+            unit=base.unit,
+            degree=base.degree,
+            basis=base.basis,
+            product=broken,
+            coproduct=base.coproduct,
+        ),
+    )
+    with pytest.raises(ValueError, match="broken product"):
+        run(["check", "--suite", "axioms", "--max-degree", "2"])
+    assert "ALL PASS" not in capsys.readouterr().out
+
+
+def test_cli_more_usage_errors(monkeypatch, capsys):
+    too_long = "1" * 5000  # past the interpreter's integer string limit
+    cases = [
+        (["enumerate", "--kind", "planar", "-n", "-1"], "-n must be nonnegative, not -1"),
+        (["dse", "--max-degree", "3", "--p", "abc"], "--p must be a rational number"),
+        (
+            ["op", "--algebra", "sym", "--kind", "antipode", "--expr", f"{too_long}*m[1]"],
+            "offset 0: integer literal too long",
+        ),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    monkeypatch.setenv("HOPFTREES_MAX_DEGREE", "junk")
+    assert run(["op", "--algebra", "sym", "--kind", "antipode", "--expr", "m[1]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: HOPFTREES_MAX_DEGREE must be a nonnegative integer, not 'junk'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["check", "--suite", "axioms", "--max-degree", "4"], "axioms suite"),
+        (["check", "--suite", "duality", "--max-degree", "4"], "duality suite"),
+        (["check", "--suite", "diagrams", "--max-degree", "4"], "diagrams suite"),
+        (["check", "--suite", "special", "--max-degree", "4"], "special suite"),
+        (["special", "check", "--max-degree", "4"], "special suite"),
+        (["check", "--suite", "dse", "--max-degree", "5"], "dse solution"),
+        (["dse", "--max-degree", "5"], "dse solution"),
+    ],
+)
+def test_suite_above_the_ceiling_is_refused_before_its_first_law(
+    monkeypatch, capsys, argv, what
+):
+    monkeypatch.setenv("HOPFTREES_MAX_DEGREE", "3")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above the ceiling")
+
+    monkeypatch.setattr(Report, "law", no_work)
+    monkeypatch.setattr(cli.dse_mod, "solve_recursive", no_work)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} at weight 4 exceeds ceiling 3\n"
+
+
+def test_dse_suite_runs_to_one_degree_past_the_ceiling(monkeypatch, capsys):
+    # the degree-n parts are trees of n vertices, of weight n - 1
+    monkeypatch.setenv("HOPFTREES_MAX_DEGREE", "3")
+    assert run(["check", "--suite", "dse", "--max-degree", "4"]) == 0
+    assert capsys.readouterr().out.endswith("ALL PASS\n")
+
+
+def test_user_input_above_the_ceiling_is_refused(monkeypatch, capsys):
+    # each input has weight ceiling + 1, and each path's cost is exponential
+    # in it: 2^n cuts, n! orders of a bush's leaves, 2^(n-1) coarsenings and
+    # n! arrangements of n equal parts
+    monkeypatch.delenv("HOPFTREES_MAX_DEGREE", raising=False)
+    n = degree_ceiling() + 1
+    ladder_bba = "<" * n + ">" * n
+    ones = ",".join(["1"] * n)
+    cases = [
+        (
+            ["op", "--algebra", "ck", "--kind", "coproduct", "--expr", f"({ladder_bba})"],
+            "cut enumeration",
+        ),
+        (["map", "--name", "rhostar", "--expr", f"({'<>' * n})"], "planar realization"),
+        (
+            ["op", "--algebra", "qsym", "--kind", "antipode", "--expr", f"M[{ones}]"],
+            "coarsening enumeration",
+        ),
+        (["map", "--name", "taustar", "--expr", f"m[{ones}]"], "arrangement enumeration"),
+    ]
+    for argv, what in cases:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {what} at weight {n} exceeds ceiling {degree_ceiling()}\n"
+        )
 
 
 def test_poly_coefficient_needs_poly_mode():

@@ -26,7 +26,6 @@ from hopftrees.hopf_trees import (
 )
 from hopftrees.scalar import QQ
 from hopftrees.trees import (
-    CUT_VERTEX_CAP,
     DOT,
     EMPTY_FOREST,
     EMPTY_ORDERED,
@@ -37,6 +36,7 @@ from hopftrees.trees import (
     ResourceLimitError,
     RootedTree,
     bba_decode,
+    degree_ceiling,
     enumerate_planar,
     enumerate_rooted,
     ladder,
@@ -193,7 +193,7 @@ def _oracle_cuts(tree):
 def test_cuts_match_edge_subset_oracle():
     trees = [
         t
-        for n in range(CUT_VERTEX_CAP)
+        for n in range(8)
         for t in enumerate_planar(n) + enumerate_rooted(n)
     ]
     for t in trees:
@@ -210,8 +210,12 @@ def test_cuts_match_edge_subset_oracle():
 
 
 def test_cut_resource_cap():
-    with pytest.raises(ResourceLimitError):
-        cuts_of(ladder(9))
+    n = degree_ceiling() + 1
+    with pytest.raises(ResourceLimitError) as err:
+        cuts_of(ladder(n + 1))
+    assert str(err.value) == (
+        f"cut enumeration at weight {n} exceeds ceiling {degree_ceiling()}"
+    )
 
 
 def test_ck_coproduct_examples():

@@ -209,7 +209,11 @@ def test_resource_limit():
 def test_ceiling_env_override(monkeypatch):
     monkeypatch.setenv("HOPFTREES_MAX_DEGREE", "3")
     assert degree_ceiling() == 3
-    monkeypatch.setenv("HOPFTREES_MAX_DEGREE", "junk")
+    for junk in ("junk", "-1"):
+        monkeypatch.setenv("HOPFTREES_MAX_DEGREE", junk)
+        with pytest.raises(ResourceLimitError, match="HOPFTREES_MAX_DEGREE"):
+            degree_ceiling()
+    monkeypatch.delenv("HOPFTREES_MAX_DEGREE")
     assert degree_ceiling() == 10
 
 
