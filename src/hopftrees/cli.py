@@ -413,13 +413,18 @@ def _render_coeff(c, ring) -> tuple[bool, str]:
 
 
 def render_lincomb(x: LinComb, algebra: str) -> str:
-    """Parseable text of x; a TensorElem's pair (a, b) renders as "a @ b"."""
+    """Parseable text of x; a TensorElem's pair (a, b) renders as "a @ b".
+    Each distinct coefficient is rendered once."""
     if x.is_zero():
         return "0"
     pairs = isinstance(x, TensorElem)
     pieces = []
+    rendered: dict = {}
     for b, c in x.sorted_terms():
-        neg, coeff = _render_coeff(c, x.ring)
+        shown = rendered.get(c)
+        if shown is None:
+            shown = rendered[c] = _render_coeff(c, x.ring)
+        neg, coeff = shown
         if pairs:
             mono = f"{render_basis(b[0], algebra)} @ {render_basis(b[1], algebra)}"
         else:

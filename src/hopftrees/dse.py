@@ -10,7 +10,6 @@ polynomial evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .freemodule import (
@@ -37,14 +36,14 @@ from .trees import (
 )
 
 
-@dataclass
 class DSESolution:
     """Homogeneous parts of the solution: planar terms of each degree and
     their commutative projections, both with polynomial scalars."""
 
-    max_degree: int
-    hf_terms: dict = field(default_factory=dict)  # degree -> LinComb over OrderedForest
-    hk_terms: dict = field(default_factory=dict)  # degree -> LinComb over Forest
+    def __init__(self, max_degree: int):
+        self.max_degree = max_degree
+        self.hf_terms: dict = {}  # degree -> LinComb over OrderedForest
+        self.hk_terms: dict = {}  # degree -> LinComb over Forest
 
     def hf(self, n: int) -> LinComb:
         return self.hf_terms[n]

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from .scalar import Ring
 
@@ -182,31 +181,13 @@ class LinComb:
 
     def bilinear(self, f, other: "LinComb") -> "LinComb":
         """Sum of c1*c2*f(b1, b2) over all pairs of terms; f returns a LinComb.
-
-        Each pair's image goes straight into the result: a MonomialProduct
-        over this ring gives the one term (b1.mul(b2), c1*c2), and any other
-        f its image's terms, scaled unless c1*c2 is 1."""
+        Each pair's image goes straight into the result (see
+        _product_terms)."""
         _check_ring(self, other)
-        ring = self.ring
         out = {}
-        if _monomial(f, ring):
-            _add_into(
-                out,
-                (
-                    (b1.mul(b2), c1 * c2)
-                    for b1, c1 in self.terms.items()
-                    for b2, c2 in other.terms.items()
-                ),
-                1,
-            )
-            return LinComb._of(ring, out)
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                img = f(b1, b2)
-                if img.ring is not ring:
-                    _check_ring(self, img)
-                _add_into(out, img.terms.items(), c1 * c2)
-        return LinComb._of(ring, out)
+        pairs = _product_terms(f, self.ring, self.terms.items(), other.terms.items())
+        _add_into(out, pairs, 1)
+        return LinComb._of(self.ring, out)
 
     def render(self, basis_str=repr) -> str:
         if not self.terms:
@@ -331,6 +312,31 @@ def _monomial(f, ring) -> bool:
     return isinstance(f, MonomialProduct) and f.ring is ring
 
 
+def _product_terms(product, ring, left, right):
+    """The (key, coeff) pairs of sum c1*c2*product(b1, b2) over the (b1, c1)
+    of left and the (b2, c2) of right, both reiterable (key, coeff) pairs
+    over ring, for _add_into to merge.  A MonomialProduct over ring gives
+    the one pair (b1.mul(b2), c1*c2) for each pair of terms without being
+    called; any other product gives its image's terms, scaled unless c1*c2
+    is 1, after a check that the image is over ring."""
+    if _monomial(product, ring):
+        for b1, c1 in left:
+            for b2, c2 in right:
+                yield b1.mul(b2), c1 * c2
+        return
+    for b1, c1 in left:
+        for b2, c2 in right:
+            img = product(b1, b2)
+            if img.ring is not ring:
+                raise _ring_mismatch(ring, img.ring)
+            c = c1 * c2
+            if c == 1:
+                yield from img.terms.items()
+            else:
+                for k, v in img.terms.items():
+                    yield k, v * c
+
+
 def _add_tensor(terms: dict, ring: Ring, left, right, c) -> None:
     """terms += c * (left x right), c as in _add_into: each pair of terms of
     the combinations left and right adds ((k1, k2), v1*v2).  left and right
@@ -428,7 +434,6 @@ class MonomialProduct:
         return LinComb._of(self.ring, {a.mul(b): self.ring.one})
 
 
-@dataclass(eq=False)
 class HopfOps:
     """Bundle of the structure maps of one graded connected Hopf algebra.
 
@@ -445,28 +450,35 @@ class HopfOps:
     long as the instance.
     """
 
-    name: str
-    ring: Ring
-    unit: Any
-    degree: Callable[[Any], int]
-    basis: Callable[[int], Sequence]
-    product: Callable[[Any, Any], LinComb]
-    coproduct: Callable[[Any], TensorElem]
-    antipode: Optional[Callable[[Any], LinComb]] = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _interned: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        product, coproduct = self.product, self.coproduct
+    def __init__(
+        self,
+        name: str,
+        ring: Ring,
+        unit: Any,
+        degree: Callable[[Any], int],
+        basis: Callable[[int], Any],
+        product: Callable[[Any, Any], LinComb],
+        coproduct: Callable[[Any], TensorElem],
+        antipode: Optional[Callable[[Any], LinComb]] = None,
+    ):
+        self.name, self.ring, self.unit = name, ring, unit
+        self.degree, self.basis, self.antipode = degree, basis, antipode
+        self._memo: dict = {}
+        self._interned: dict = {}
         # a hit is one dict lookup; cached values are objects, never false
         hit = self._memo.get
-        if not isinstance(product, MonomialProduct):
+        if isinstance(product, MonomialProduct):
+            self.product = product
+        else:
             self.product = lambda a, b: hit(("product", a, b)) or self._cached(
                 ("product", a, b), product, a, b
             )
         self.coproduct = lambda b: hit(("coproduct", b)) or self._cached(
             ("coproduct", b), coproduct, b
         )
+
+    def __repr__(self):
+        return f"HopfOps({self.name!r}, {self.ring.name})"
 
     def _cached(self, key, compute, *args):
         """The memoised value of compute(*args) under key."""
@@ -513,29 +525,40 @@ def generic_antipode(h: HopfOps, b) -> LinComb:
     coproduct terms except u x 1, which terminates because the coproduct
     respects the grading.  The antipodes of the smaller terms u' come from
     h's memo, computed by this recursion even where h has a closed formula,
-    so the two routes stay independent.
+    so the two routes stay independent.  Each term's products go straight
+    into the result.
     """
     if h.degree(b) == 0:
         return h.one_lc()
-    acc = LinComb.zero(h.ring)
+    ring, out = h.ring, {}
     for (x, y), c in h.coproduct(b).terms.items():
         if y == h.unit:
             continue  # the u x 1 term moves to the left-hand side
-        accumulate(acc, h.product_lc(_generic_cached(h, x), h.term(y)), -c)
-    return acc
+        left = _generic_cached(h, x).terms.items()
+        _add_into(out, _product_terms(h.product, ring, left, ((y, -c),)), 1)
+    return LinComb._of(ring, out)
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-@dataclass
 class ReportEntry:
-    law: str
-    ok: bool
-    checked: int = 0
-    degree: Optional[int] = None
-    witness: Optional[str] = None
+    """One law's outcome: whether it held, on how many cases, and the
+    witness of the first case that failed."""
+
+    __slots__ = ("law", "ok", "checked", "degree", "witness")
+
+    def __init__(
+        self,
+        law: str,
+        ok: bool,
+        checked: int = 0,
+        degree: Optional[int] = None,
+        witness: Optional[str] = None,
+    ):
+        self.law, self.ok, self.checked = law, ok, checked
+        self.degree, self.witness = degree, witness
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -654,25 +677,35 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
     normal = difference_witness(h.unit, h.counit(h.unit), h.ring.one)
     rep.add("counit normalization", normal is None, witness=normal)
 
+    ring, one = h.ring, h.ring.one
+    product, coproduct, antipode = h.product, h.coproduct, h.antipode_basis
+
+    def image(a, b):
+        """The (key, coeff) pairs of the product a*b."""
+        return tuple(_product_terms(product, ring, ((a, one),), ((b, one),)))
+
     def unit_law(b):
-        want = h.term(b)
-        left, right = h.product(h.unit, b), h.product(b, h.unit)
-        return difference_witness(b, left, want) or difference_witness(b, right, want)
+        want = {b: one}
+        left, right = dict(image(h.unit, b)), dict(image(b, h.unit))
+        return _dict_witness(b, left, want, LinComb, ring) or _dict_witness(
+            b, right, want, LinComb, ring
+        )
 
     rep.law("product unit laws", elems, unit_law)
 
     def assoc(triple):
         x, y, z = triple
-        left = h.product_lc(h.product(x, y), h.term(z))
-        right = h.product_lc(h.term(x), h.product(y, z))
-        return difference_witness(triple, left, right)
+        left, right = {}, {}
+        _add_into(left, _product_terms(product, ring, image(x, y), ((z, one),)), 1)
+        _add_into(right, _product_terms(product, ring, ((x, one),), image(y, z)), 1)
+        return _dict_witness(triple, left, right, LinComb, ring)
 
     rep.law("product associativity", _tuples_upto(by_deg, max_degree, 3), assoc)
 
     def grading(pair):
         x, y = pair
         want = h.degree(x) + h.degree(y)
-        for b in h.product(x, y).support():
+        for b in product(x, y).support():
             if h.degree(b) != want:
                 return f"{x!r}*{y!r} -> {b!r}"
         return None
@@ -682,19 +715,19 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
     def coproduct_form(b):
         # the terms with a side in degree 0 are b x 1 + 1 x b, or 1 x 1 for
         # the unit
-        ends = [
-            (k, c)
-            for k, c in h.coproduct(b).terms.items()
+        ends = {
+            k: ring.coerce(c)
+            for k, c in coproduct(b).terms.items()
             if h.degree(k[0]) == 0 or h.degree(k[1]) == 0
-        ]
-        want = {(b, h.unit): 1, (h.unit, b): 1} if h.degree(b) else {(b, b): 1}
-        return difference_witness(b, TensorElem(h.ring, ends), TensorElem(h.ring, want))
+        }
+        want = {(b, h.unit): one, (h.unit, b): one} if h.degree(b) else {(b, b): one}
+        return _dict_witness(b, ends, want, TensorElem, ring)
 
     rep.law("coproduct connected form", elems, coproduct_form)
 
     def coproduct_grading(b):
         want = h.degree(b)
-        for (x, y), _ in h.coproduct(b).terms.items():
+        for (x, y), _ in coproduct(b).terms.items():
             if h.degree(x) + h.degree(y) != want:
                 return f"{b!r} -> ({x!r}, {y!r})"
         return None
@@ -702,50 +735,70 @@ def check_axioms(h: HopfOps, max_degree: int) -> Report:
     rep.law("coproduct grading", elems, coproduct_grading)
 
     def counit_laws(b):
-        cop = h.coproduct(b).terms.items()
-        left = LinComb(h.ring, [(y, c * h.counit(x)) for (x, y), c in cop])
-        right = LinComb(h.ring, [(x, c * h.counit(y)) for (x, y), c in cop])
-        want = h.term(b)
-        return difference_witness(b, left, want) or difference_witness(b, right, want)
+        cop = coproduct(b).terms.items()
+        coerce = ring.coerce
+        left, right, want = {}, {}, {b: one}
+        # each value coerced and zeros left out, as the LinComb constructor does
+        _add_into(left, [(y, v) for (x, y), c in cop if (v := coerce(c * h.counit(x)))], 1)
+        _add_into(right, [(x, v) for (x, y), c in cop if (v := coerce(c * h.counit(y)))], 1)
+        return _dict_witness(b, left, want, LinComb, ring) or _dict_witness(
+            b, right, want, LinComb, ring
+        )
 
     rep.law("counit laws", elems, counit_laws)
 
     def coassoc(b):
         left = {}
         right = {}
-        for (x, y), c in h.coproduct(b).terms.items():
-            cx, cy = h.coproduct(x).terms.items(), h.coproduct(y).terms.items()
+        for (x, y), c in coproduct(b).terms.items():
+            cx, cy = coproduct(x).terms.items(), coproduct(y).terms.items()
             _add_into(left, (((u, v, y), d) for (u, v), d in cx), c)
             _add_into(right, (((x, u, v), d) for (u, v), d in cy), c)
-        # wrapped only when they differ: a passing case costs one comparison
-        if left == right:
-            return None
-        return difference_witness(
-            b, TensorElem._of(h.ring, left), TensorElem._of(h.ring, right)
-        )
+        return _dict_witness(b, left, right, TensorElem, ring)
 
     rep.law("coproduct coassociativity", elems, coassoc)
 
     def multiplicative(pair):
         x, y = pair
-        lhs = h.coproduct_lc(h.product(x, y))
-        rhs = h.coproduct(x).mul(h.coproduct(y), h.product, h.product)
-        return difference_witness(pair, lhs, rhs)
+        lhs = {}
+        for k, v in image(x, y):
+            _add_into(lhs, _terms_over(ring, coproduct(k)), v)
+        rhs = coproduct(x).mul(coproduct(y), product, product)
+        return _dict_witness(pair, lhs, rhs.terms, TensorElem, ring)
 
     rep.law("coproduct multiplicativity", _tuples_upto(by_deg, max_degree, 2), multiplicative)
 
     def antipode_law(b):
-        cop = h.coproduct(b)
-        left = LinComb.zero(h.ring)
-        right = LinComb.zero(h.ring)
-        for (x, y), c in cop.terms.items():
-            accumulate(left, h.product_lc(h.antipode_basis(x), h.term(y)), c)
-            accumulate(right, h.product_lc(h.term(x), h.antipode_basis(y)), c)
-        want = h.one_lc().scale(h.counit(b))
-        return difference_witness(b, left, want) or difference_witness(b, right, want)
+        left, right = {}, {}
+        for (x, y), c in coproduct(b).terms.items():
+            sx, sy = _terms_over(ring, antipode(x)), _terms_over(ring, antipode(y))
+            _add_into(left, _product_terms(product, ring, sx, ((y, c),)), 1)
+            _add_into(right, _product_terms(product, ring, ((x, c),), sy), 1)
+        # counit(b) * 1, as one_lc().scale gives it
+        c = ring.coerce(h.counit(b))
+        want = {h.unit: one * c} if c else {}
+        return _dict_witness(b, left, want, LinComb, ring) or _dict_witness(
+            b, right, want, LinComb, ring
+        )
 
     rep.law("antipode convolution laws", elems, antipode_law)
     return rep
+
+
+def _terms_over(ring, x):
+    """The terms of the combination x, refused unless x is over ring."""
+    if x.ring is not ring:
+        raise _ring_mismatch(ring, x.ring)
+    return x.terms.items()
+
+
+def _dict_witness(case, lhs: dict, rhs: dict, kind, ring):
+    """difference_witness of the term dicts lhs and rhs, wrapped as
+    combinations of kind over ring only when they differ: a passing case
+    costs one comparison."""
+    if lhs == rhs:
+        return None
+    return difference_witness(case, kind._of(ring, lhs), kind._of(ring, rhs))
 
 
 def check_cocommutativity(h: HopfOps, max_degree: int) -> Report:

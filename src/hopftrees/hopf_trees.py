@@ -243,11 +243,35 @@ def _cut_antipode(t, ring) -> LinComb:
     )
 
 
-def _closed_antipode(x, ring) -> LinComb:
+def _last_tree(x):
+    """(rest, last): the forest x without its last tree, and that tree as a
+    forest of one, so that x = rest * last."""
+    forest = type(x)
+    return forest(x.trees[:-1]), forest(x.trees[-1:])
+
+
+def _forest_coproduct(x, ring, memo) -> TensorElem:
+    """The cut coproduct of the trees of x, extended multiplicatively.
+    Given memo, the HopfOps whose memo holds the coproducts, a forest of
+    several trees is Delta(rest) * Delta(last tree), both from the memo."""
+    if memo is None or len(x.trees) < 2:
+        return extend_multiplicatively(ring, type(x)(), x.trees, _cut_coproduct)
+    rest, last = _last_tree(x)
+    mul = memo.product
+    return memo.coproduct(rest).mul(memo.coproduct(last), mul, mul)
+
+
+def _closed_antipode(x, ring, memo) -> LinComb:
     """-sum over all cuts of (-1)^{|c|} reverse(P^c) R^c on a tree, extended
-    to forests as an antiautomorphism (reversal is trivial on Forests)."""
+    to forests as an antiautomorphism (reversal is trivial on Forests).
+    Given memo, the HopfOps whose memo holds the antipodes, a forest of
+    several trees is S(last tree) * S(rest), both from the memo."""
     if not isinstance(x, _Forest):
         return _cut_antipode(x, ring)
+    if memo is not None and len(x.trees) > 1:
+        rest, last = _last_tree(x)
+        s_last, s_rest = memo.antipode_basis(last), memo.antipode_basis(rest)
+        return s_last.bilinear(memo.product, s_rest)
     acc = LinComb.term(ring, type(x)())
     mul = MonomialProduct(ring)
     for t in reversed(x.trees):
@@ -259,28 +283,31 @@ def _closed_antipode(x, ring) -> LinComb:
 # H_K: the Connes-Kreimer algebra of forests
 
 
-def ck_coproduct(x: Forest, ring=QQ) -> TensorElem:
-    """Admissible-cut coproduct, extended multiplicatively over the forest."""
-    return extend_multiplicatively(ring, type(x)(), x.trees, _cut_coproduct)
+def ck_coproduct(x: Forest, ring=QQ, memo=None) -> TensorElem:
+    """Admissible-cut coproduct, extended multiplicatively over the forest;
+    memo as in _forest_coproduct."""
+    return _forest_coproduct(x, ring, memo)
 
 
-def ck_antipode(x, ring=QQ) -> LinComb:
-    """Closed antipode formula on a rooted tree or a forest of them."""
-    return _closed_antipode(x, ring)
+def ck_antipode(x, ring=QQ, memo=None) -> LinComb:
+    """Closed antipode formula on a rooted tree or a forest of them; memo as
+    in _closed_antipode."""
+    return _closed_antipode(x, ring, memo)
 
 
 @lru_cache(maxsize=None)
 def ck_ops(ring=QQ) -> HopfOps:
-    return HopfOps(
+    ops = HopfOps(
         name="H_K",
         ring=ring,
         unit=EMPTY_FOREST,
         degree=lambda f: f.weight,
         basis=lambda n: tuple(map(bminus, enumerate_rooted(n))),
         product=MonomialProduct(ring),
-        coproduct=lambda f: ck_coproduct(f, ring),
-        antipode=lambda f: ck_antipode(f, ring),
+        coproduct=lambda f: ck_coproduct(f, ring, ops),
+        antipode=lambda f: ck_antipode(f, ring, ops),
     )
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +343,32 @@ def kp_ops(ring=QQ) -> HopfOps:
 # H_F: the Foissy algebra of ordered forests
 
 
-def hf_coproduct(x: OrderedForest, ring=QQ) -> TensorElem:
+def hf_coproduct(x: OrderedForest, ring=QQ, memo=None) -> TensorElem:
     """Ordered admissible-cut coproduct, extended multiplicatively; equal to
-    the rooted-subforest sum."""
-    return extend_multiplicatively(ring, type(x)(), x.trees, _cut_coproduct)
+    the rooted-subforest sum.  memo as in _forest_coproduct."""
+    return _forest_coproduct(x, ring, memo)
 
 
-def hf_antipode(x, ring=QQ) -> LinComb:
+def hf_antipode(x, ring=QQ, memo=None) -> LinComb:
     """Closed antipode on a planar tree or an ordered forest, where the
-    reversal of the fallen part and of the forest is not trivial."""
-    return _closed_antipode(x, ring)
+    reversal of the fallen part and of the forest is not trivial.  memo as
+    in _closed_antipode."""
+    return _closed_antipode(x, ring, memo)
 
 
 @lru_cache(maxsize=None)
 def hf_ops(ring=QQ) -> HopfOps:
-    return HopfOps(
+    ops = HopfOps(
         name="H_F",
         ring=ring,
         unit=EMPTY_ORDERED,
         degree=lambda f: f.weight,
         basis=lambda n: tuple(map(bminus, enumerate_planar(n))),
         product=MonomialProduct(ring),
-        coproduct=lambda f: hf_coproduct(f, ring),
-        antipode=lambda f: hf_antipode(f, ring),
+        coproduct=lambda f: hf_coproduct(f, ring, ops),
+        antipode=lambda f: hf_antipode(f, ring, ops),
     )
+    return ops
 
 
 # ---------------------------------------------------------------------------

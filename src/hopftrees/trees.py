@@ -136,7 +136,12 @@ class _Forest(Interned):
         return (self.weight, tuple(t.sort_key for t in self.trees))
 
     def mul(self, other):
-        return type(self)(self.trees + other.trees)
+        # the intern table holds every product built before, so a hit builds
+        # nothing
+        cls = type(self)
+        content = cls._canonical(self.trees + other.trees)
+        found = cls._table.get(content)
+        return cls(content) if found is None else found
 
     def __repr__(self):
         return f"{type(self).__name__}({[t.bba for t in self.trees]!r})"

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -398,6 +399,165 @@ def test_check_axioms_catches_one_wrong_antipode_coefficient(factory):
     assert [(e.law, e.witness) for e in failed] == [
         ("antipode convolution laws", f"{y!r}; lhs - rhs = 1*{target!r}")
     ]
+
+
+FAULT_WITNESSES = Path(__file__).parent / "golden" / "axioms_faults_d3.txt"
+
+
+def _faulty_ops(base, fault):
+    """A fresh ZZ HopfOps with base's structure maps and one injected fault,
+    on x, the first basis element of degree 1, or y, the first of degree 2
+    whose coproduct has a term with both sides of positive degree:
+
+    product          one term added to x*x
+    product degree   the unit added to x*x
+    unit             1*y doubled
+    coproduct        a term with both sides of positive degree added to Delta(y)
+    coproduct end    1 (x) y dropped from Delta(y)
+    coproduct degree y (x) y added to Delta(y)
+    antipode         one term added to S(y)
+    counit           the counit is 1 on y and 0 on the unit
+    degree           the unit and y are read one degree too high
+    """
+    ring = base.ring
+    x = base.basis(1)[0]
+    y, (left, right) = next(
+        (y, pair)
+        for y in base.basis(2)
+        for pair, _ in base.coproduct(y).sorted_terms()
+        if base.degree(pair[0]) and base.degree(pair[1])
+    )
+    product, coproduct, antipode = base.product, base.coproduct, base.antipode_basis
+    degree = base.degree
+    extra = {
+        "product": lambda a, b: base.term(base.product(a, b).sorted_terms()[0][0]),
+        "product degree": lambda a, b: base.term(base.unit),
+    }
+    if fault in extra:
+        add = extra[fault]
+
+        def product(a, b):
+            out = base.product(a, b)
+            return out + add(a, b) if a == b == x else out
+
+    elif fault == "unit":
+
+        def product(a, b):
+            out = base.product(a, b)
+            return out.scale(2) if a == base.unit and b == y else out
+
+    elif fault.startswith("coproduct"):
+
+        def coproduct(b):
+            out = base.coproduct(b)
+            if b != y:
+                return out
+            if fault == "coproduct end":
+                kept = [(k, c) for k, c in out.terms.items() if k != (base.unit, y)]
+                return TensorElem(ring, kept)
+            pair = (y, y) if fault == "coproduct degree" else (left, right)
+            return out + TensorElem.term(ring, *pair)
+
+    elif fault == "antipode":
+        target = base.antipode_basis(y).sorted_terms()[0][0]
+
+        def antipode(b):
+            out = base.antipode_basis(b)
+            return out + base.term(target) if b == y else out
+
+    elif fault == "degree":
+
+        def degree(b):
+            return base.degree(b) + (b == y or b == base.unit)
+
+    broken = HopfOps(
+        name=base.name,
+        ring=ring,
+        unit=base.unit,
+        degree=degree,
+        basis=base.basis,
+        product=product,
+        coproduct=coproduct,
+        antipode=antipode,
+    )
+    if fault == "counit":
+        broken.counit = lambda b: ring.one if b == y else ring.zero
+    return broken
+
+
+AXIOM_FAULTS = (
+    "product",
+    "product degree",
+    "unit",
+    "coproduct",
+    "coproduct end",
+    "coproduct degree",
+    "antipode",
+    "counit",
+    "degree",
+)
+
+
+def test_axiom_witnesses_under_injected_faults_are_pinned():
+    """Every law of check_axioms, run on each of the seven algebras with each
+    fault of _faulty_ops, reports the cases, counts and witnesses pinned in
+    tests/golden/axioms_faults_d3.txt; every law fails under some fault."""
+    blocks, failed = [], set()
+    for factory, *_ in KERNELS:
+        for fault in AXIOM_FAULTS:
+            rep = check_axioms(_faulty_ops(factory(ZZ), fault), 3)
+            blocks.append(f"## {fault}\n{rep}\n")
+            failed.update(e.law for e in rep.entries if not e.ok)
+    assert "".join(blocks) == FAULT_WITNESSES.read_text()
+    laws = {e.law for e in check_axioms(gl_ops(ZZ), 1).entries}
+    assert failed == laws
+
+
+def test_laws_refuse_a_product_over_another_ring():
+    """A product giving a combination over another ring raises
+    RingMismatchError inside the laws and the generic recursion: one over QQ
+    everywhere (the unit laws meet it), only off the unit (associativity
+    does), or a MonomialProduct over QQ on ZZ forests; an antipode over QQ
+    raises inside the antipode laws."""
+    for factory in (kp_ops, ck_ops):
+        base = factory(ZZ)
+        y = next(
+            y
+            for y in base.basis(2)
+            if any(base.degree(x) == 1 for x, _ in base.coproduct(y).terms)
+        )
+
+        def everywhere(a, b):
+            return LinComb(QQ, dict(base.product(a, b).terms))
+
+        def off_unit(a, b):
+            out = base.product(a, b)
+            return out if base.unit in (a, b) else LinComb(QQ, dict(out.terms))
+
+        def antipode_over_qq(b):
+            return LinComb(QQ, dict(base.antipode_basis(b).terms))
+
+        products = [everywhere, off_unit]
+        if factory is ck_ops:
+            products.append(MonomialProduct(QQ))
+        cases = [(product, base.antipode_basis) for product in products]
+        cases.append((base.product, antipode_over_qq))
+        for i, (product, antipode) in enumerate(cases):
+            broken = HopfOps(
+                name=base.name,
+                ring=ZZ,
+                unit=base.unit,
+                degree=base.degree,
+                basis=base.basis,
+                product=product,
+                coproduct=base.coproduct,
+                antipode=antipode,
+            )
+            with pytest.raises(RingMismatchError):
+                check_axioms(broken, 2)
+            if i < len(products):
+                with pytest.raises(RingMismatchError):
+                    generic_antipode(broken, y)
 
 
 def test_memo_values_are_read_only():

@@ -3,7 +3,14 @@ from math import comb
 
 import pytest
 
-from hopftrees.freemodule import LinComb, TensorElem, generic_antipode, pairing_extend
+from hopftrees.coproducts import extend_multiplicatively
+from hopftrees.freemodule import (
+    LinComb,
+    MonomialProduct,
+    TensorElem,
+    generic_antipode,
+    pairing_extend,
+)
 from hopftrees.hopf_trees import (
     bminus,
     bplus,
@@ -24,7 +31,7 @@ from hopftrees.hopf_trees import (
     pairing_kp_hf,
     pairing_kt_hk,
 )
-from hopftrees.scalar import QQ
+from hopftrees.scalar import QQ, ZZ
 from hopftrees.trees import (
     DOT,
     EMPTY_FOREST,
@@ -429,6 +436,39 @@ def test_hf_antipode_antiautomorphism():
     rhs = hf.product_lc(hf_antipode(pc), hf_antipode(pl2))
     assert lhs == rhs
     assert hf_antipode(f) != hf_antipode(swapped)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "factory, coproduct, antipode, top",
+    [(ck_ops, ck_coproduct, ck_antipode, 7), (hf_ops, hf_coproduct, hf_antipode, 6)],
+    ids=["H_K", "H_F"],
+)
+def test_forest_maps_from_factors_match_the_tree_maps(
+    factory, coproduct, antipode, top, ring
+):
+    """The ops build a forest's coproduct as Delta(rest) * Delta(last tree)
+    and its antipode as S(last tree) * S(rest) from their own memo; both
+    equal the tree maps extended over the forest: the cut coproduct
+    multiplicatively (extend_multiplicatively), the closed antipode of each
+    tree in reverse order, and the maps called without the memo."""
+    factory.cache_clear()
+    ops = factory(ring)
+    forest = type(ops.unit)
+    mul = MonomialProduct(ring)
+    several = 0
+    for n in range(top + 1):
+        for f in ops.basis(n):
+            several += len(f.trees) > 1
+            tree_coproducts = extend_multiplicatively(
+                ring, ops.unit, f.trees, lambda t, r: coproduct(forest((t,)), r)
+            )
+            assert ops.coproduct(f) == tree_coproducts == coproduct(f, ring)
+            tree_antipodes = LinComb.term(ring, ops.unit)
+            for t in reversed(f.trees):
+                tree_antipodes = tree_antipodes.bilinear(mul, antipode(t, ring))
+            assert ops.antipode_basis(f) == tree_antipodes == antipode(f, ring)
+    assert several
 
 
 def test_pairings():
