@@ -49,6 +49,7 @@ from .hopf_trees import (
     ck_antipode,
     ck_coproduct,
     ck_ops,
+    cut_counts,
     cuts_of,
     gl_coproduct,
     gl_ops,
@@ -78,6 +79,7 @@ from .symfun import (
     sym_ops,
     sym_pairing,
     tau,
+    tau_star,
 )
 from .morphisms import (
     Phi,
@@ -87,7 +89,6 @@ from .morphisms import (
     phi_star,
     rho,
     rho_star,
-    tau_star,
 )
 from .special import (
     epsilon,

@@ -523,7 +523,7 @@ _MAPS = {
     "phistar": ("gl", "sym", morphisms.phi_star),
     "Phistar": ("pl", "qsym", morphisms.Phi_star),
     "rhostar": ("gl", "pl", morphisms.rho_star),
-    "taustar": ("sym", "qsym", morphisms.tau_star),
+    "taustar": ("sym", "qsym", symfun.tau_star),
 }
 
 

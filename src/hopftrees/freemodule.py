@@ -65,6 +65,13 @@ class Interned:
             cls._table[content] = obj
         return obj
 
+    @classmethod
+    def of_canonical(cls, content):
+        """The value of content that is already canonical: a value built
+        before is found in the table without recomputing its content."""
+        found = cls._table.get(content)
+        return cls(content) if found is None else found
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
 

@@ -9,7 +9,6 @@ the slots of u computes both grafting products.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Any, NamedTuple
 
@@ -36,10 +35,15 @@ from .trees import (
 # grafting operators
 
 
+# A forest's trees are in its tree type's canonical order of children, and
+# a tree's children in its forest type's order of trees, so each side is
+# looked up as it is.
+
+
 def bplus(f):
     """Attach a new root over all trees of the forest, giving a tree of the
     forest's tree type; the empty forest maps to the single vertex."""
-    return f.tree(f.trees)
+    return f.tree.of_canonical(f.trees)
 
 
 def bminus(t):
@@ -47,7 +51,7 @@ def bminus(t):
     type."""
     if not isinstance(t, (RootedTree, PlanarTree)):
         raise TypeError("bminus needs a tree, not the algebra unit")
-    return t.forest(t.children)
+    return t.forest.of_canonical(t.children)
 
 
 # ---------------------------------------------------------------------------
@@ -68,43 +72,63 @@ class Cut(NamedTuple):
     admissible: bool
 
 
-def _cuts(tree, admissible_only):
-    """(root part, fallen pieces in preorder, weight, admissible) for each
-    cut of tree.  For each child, either the edge above it stays and the
-    child's own cuts recurse, or the edge is cut and the child's root part
-    falls ahead of the child's fallen pieces; in an admissible cut a child
-    falls only whole."""
-    per_child = []
-    for c in tree.children:
-        sub = _cuts(c, admissible_only)
-        kept = [((root,), fallen, w, adm) for root, fallen, w, adm in sub]
-        cut = [
-            ((), (root,) + fallen, w + 1, w == 0)
-            for root, fallen, w, _ in sub
-            if w == 0 or not admissible_only
-        ]
-        per_child.append(kept + cut)
-    out = []
-    for choice in itertools.product(*per_child):
-        kids, fallen, weight, admissible = (), (), 0, True
-        for k, f, w, adm in choice:
-            kids += k
-            fallen += f
-            weight += w
-            admissible = admissible and adm
-        out.append((type(tree)(kids), fallen, weight, admissible))
+def _cut_states(tree, admissible_only, memo) -> dict:
+    """(kids, fallen pieces in preorder, admissible) -> number of cuts of
+    tree that give them, where kids are the root's kept children in order
+    and each fallen piece is the part below one cut edge.  The walk goes
+    over the children in order and merges equal partial cuts, so each
+    distinct state is extended once."""
+    states = {((), (), True): 1}
+    for child in tree.children:
+        options = memo.get(child)
+        if options is None:
+            options = memo[child] = _child_options(child, admissible_only, memo)
+        grown: dict = {}
+        for (kids, fallen, adm), n in states.items():
+            for (k, f, cadm), m in options:
+                key = (kids + k, fallen + f, adm and cadm)
+                grown[key] = grown.get(key, 0) + n * m
+        states = grown
+    return states
+
+
+def _child_options(child, admissible_only, memo) -> tuple:
+    """((kids piece, fallen piece, admissible), ways) for each way the edge
+    above child and the edges below it can be cut: either the edge stays
+    and the child's root part joins the kids, or it is cut and the root
+    part falls ahead of the child's own fallen pieces; in an admissible cut
+    a child falls only whole."""
+    make = type(child)
+    out: dict = {}
+    for (kids, fallen, adm), n in _cut_states(child, admissible_only, memo).items():
+        root = make(kids)
+        key = ((root,), fallen, adm)
+        out[key] = out.get(key, 0) + n
+        if not (fallen and admissible_only):
+            key = ((), (root,) + fallen, not fallen)
+            out[key] = out.get(key, 0) + n
+    return tuple(out.items())
+
+
+def cut_counts(tree, admissible_only: bool = False) -> dict:
+    """Each distinct cut of a rooted or planar tree, or each distinct
+    admissible one, with the number of edge sets that give it.  The walks
+    of equal subtrees are shared within the call only."""
+    check_weight(tree.size - 1, "cut enumeration")
+    make, forest = type(tree), tree.forest
+    out: dict = {}
+    for (kids, fallen, adm), n in _cut_states(tree, admissible_only, {}).items():
+        cut = Cut(forest(fallen), make(kids), len(fallen), adm)
+        out[cut] = out.get(cut, 0) + n
     return out
 
 
 def cuts_of(tree, admissible_only: bool = False) -> list:
     """All 2^(edge count) cuts of a rooted or planar tree, or just the
-    admissible ones; the pieces have the tree's own type, and the fallen
-    part its forest type."""
-    check_weight(tree.size - 1, "cut enumeration")
-    forest = tree.forest
+    admissible ones, each as often as cut_counts counts it; the pieces have
+    the tree's own type, and the fallen part its forest type."""
     return [
-        Cut(forest(fallen), root, weight, admissible)
-        for root, fallen, weight, admissible in _cuts(tree, admissible_only)
+        cut for cut, n in cut_counts(tree, admissible_only).items() for _ in range(n)
     ]
 
 
@@ -217,7 +241,7 @@ def gl_ops(ring=QQ) -> HopfOps:
 #
 # H_K and H_F share one construction: Forest over rooted trees for H_K,
 # OrderedForest over planar trees for H_F.  Each tree names its forest type,
-# and cuts_of returns the fallen part in it.
+# and cut_counts returns the fallen part in it.
 
 
 def _cut_coproduct(t, ring) -> TensorElem:
@@ -225,20 +249,20 @@ def _cut_coproduct(t, ring) -> TensorElem:
     empty cut contributes 1 x t."""
     forest = t.forest
     whole = ((forest((t,)), forest()), 1)
-    cuts = cuts_of(t, admissible_only=True)
+    cuts = cut_counts(t, admissible_only=True).items()
     return TensorElem(
-        ring, [whole] + [((c.fallen, forest((c.root_part,))), 1) for c in cuts]
+        ring, [whole] + [((c.fallen, forest((c.root_part,))), n) for c, n in cuts]
     )
 
 
 def _cut_antipode(t, ring) -> LinComb:
     forest = t.forest
-    cuts = cuts_of(t, admissible_only=False)
+    cuts = cut_counts(t, admissible_only=False).items()
     return LinComb(
         ring,
         [
-            (c.fallen.reverse().mul(forest((c.root_part,))), -((-1) ** c.weight))
-            for c in cuts
+            (c.fallen.reverse().mul(forest((c.root_part,))), -((-1) ** c.weight) * n)
+            for c, n in cuts
         ],
     )
 

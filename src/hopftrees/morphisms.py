@@ -20,11 +20,11 @@ from .symfun import (
     Composition,
     Partition,
     compositions_of,
-    distinct_arrangements,
     nsym_ops,
     qsym_ops,
     sym_ops,
     tau,
+    tau_star,
     to_e_products,
 )
 from .hopf_trees import ck_ops, gl_ops, hf_ops, kp_ops
@@ -119,12 +119,8 @@ def rho_star(x) -> LinComb:
     return x.apply_linear(on_tree)
 
 
-def tau_star(x) -> LinComb:
-    """Sym -> QSym: the inclusion, summing M over all arrangements."""
-    x = as_lincomb(QQ, x)
-    return x.apply_linear(
-        lambda lam: LinComb(x.ring, {c: 1 for c in distinct_arrangements(lam)})
-    )
+# tau*, the inclusion Sym -> QSym, is symfun.tau_star: the Sym product goes
+# through it.
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .freemodule import (
     difference_witness,
     freeze,
 )
-from .hopf_trees import bplus, cuts_of, gl_ops
+from .hopf_trees import bplus, cut_counts, gl_ops
 from .morphisms import phi_star, rho_star
 from .scalar import QQ, ZZ
 from .symfun import basis_expand, partitions_of, sym_product
@@ -102,10 +102,10 @@ def n_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
 
 
 def _cut_tally(target: RootedTree) -> Counter:
-    """The target's admissible cuts counted by (fallen part, root part)."""
-    return Counter(
-        (cut.fallen, cut.root_part) for cut in cuts_of(target, admissible_only=True)
-    )
+    """The target's admissible cuts counted by (fallen part, root part),
+    which name an admissible cut: its weight is its number of fallen trees."""
+    cuts = cut_counts(target, admissible_only=True).items()
+    return Counter({(cut.fallen, cut.root_part): n for cut, n in cuts})
 
 
 def m_count(u: Forest, t: RootedTree, target: RootedTree) -> int:
@@ -189,8 +189,14 @@ def proposition_check(max_degree: int) -> Report:
     rep.law("kappa divided powers", range(max_degree + 1), divided)
 
     def planar_sum(n):
-        want = LinComb(QQ, {T: 1 for T in enumerate_planar(n)})
-        return difference_witness(f"n={n}", rho_star(kappa(n)), want)
+        # n! times the sum against rho*(n! kappa_n), over ZZ; a failing case
+        # divides both by n! for its witness.  n! is a nonzero integer, so
+        # the sum's dict is the combination as it is.
+        want = LinComb._of(ZZ, dict.fromkeys(enumerate_planar(n), factorial(n)))
+        got = rho_star(_cleared(kappa(n), n))
+        if got == want:
+            return None
+        return difference_witness(f"n={n}", _divided(got, n), _divided(want, n))
 
     rep.law("rho*(kappa_n) sums the planar trees", range(max_degree + 1), planar_sum)
     return rep

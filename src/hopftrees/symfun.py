@@ -8,7 +8,6 @@ Sym go through the embedding into QSym and the quasi-shuffle.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -21,11 +20,12 @@ from .freemodule import (
     Report,
     TensorElem,
     accumulate,
+    as_lincomb,
     difference_witness,
     freeze,
 )
 from .scalar import QQ
-from .trees import check_weight
+from .trees import check_weight, multiset_orders
 
 
 class _Parts(Interned):
@@ -179,11 +179,10 @@ def coarsenings(comp: Composition):
 
 
 def distinct_arrangements(lam: Partition):
-    """All distinct compositions whose underlying partition is lam, found
-    among all k! orders of its k parts."""
+    """All distinct compositions whose underlying partition is lam, in
+    lexicographic order of their parts."""
     check_weight(lam.weight, "arrangement enumeration")
-    seen = sorted(set(itertools.permutations(lam.parts)))
-    return [Composition(p) for p in seen]
+    return [Composition(p) for p in multiset_orders(lam.parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +254,11 @@ def qsym_ops(ring=QQ) -> HopfOps:
 # Sym
 
 
-def sym_embed(x: LinComb) -> LinComb:
-    """The inclusion of Sym into QSym: m_lambda to the sum of M over all
-    arrangements of lambda."""
+def tau_star(x) -> LinComb:
+    """Sym -> QSym, the inclusion: m_lambda to the sum of M over all
+    arrangements of lambda.  A combination keeps its own ring; a bare
+    partition is taken over QQ."""
+    x = as_lincomb(QQ, x)
     terms = x.terms.items()
     return LinComb(
         x.ring, [(comp, c) for lam, c in terms for comp in distinct_arrangements(lam)]
@@ -276,7 +277,7 @@ def sym_from_qsym(x: LinComb) -> LinComb:
 
 def sym_product_part(lam: Partition, mu: Partition, ring=QQ) -> LinComb:
     prod = qsym_product(
-        sym_embed(LinComb.term(ring, lam)), sym_embed(LinComb.term(ring, mu))
+        tau_star(LinComb.term(ring, lam)), tau_star(LinComb.term(ring, mu))
     )
     return sym_from_qsym(prod)
 

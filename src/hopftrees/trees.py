@@ -137,7 +137,8 @@ class _Forest(Interned):
 
     def mul(self, other):
         # the intern table holds every product built before, so a hit builds
-        # nothing
+        # nothing (Interned.of_canonical, written out: mul is the forest
+        # algebras' innermost call)
         cls = type(self)
         content = cls._canonical(self.trees + other.trees)
         found = cls._table.get(content)
@@ -249,21 +250,45 @@ def embedding_count(t: RootedTree) -> int:
     return orders * prod(map(embedding_count, t.children))
 
 
+def multiset_orders(items, key=None):
+    """Each distinct order of the multiset items once, as a tuple, in
+    lexicographic order of the items' keys; items with equal keys must be
+    equal.  This is Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) started from the
+    sorted order, so the orders come as sorted(set(permutations(items)))
+    gives them, at a cost proportional to their number."""
+    # the distinct items in key order, and each item's rank among them
+    reps, ranks = [], []
+    for rank, (_, run) in enumerate(itertools.groupby(sorted(items, key=key), key)):
+        run = tuple(run)
+        reps.append(run[0])
+        ranks.extend([rank] * len(run))
+    n = len(ranks)
+    while True:
+        yield tuple(map(reps.__getitem__, ranks))
+        # the next order: raise the last ascent by the least larger item
+        # after it, then reverse the tail
+        j = n - 2
+        while j >= 0 and ranks[j] >= ranks[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        i = n - 1
+        while ranks[j] >= ranks[i]:
+            i -= 1
+        ranks[j], ranks[i] = ranks[i], ranks[j]
+        ranks[j + 1 :] = ranks[:j:-1]
+
+
 @lru_cache(maxsize=None)
 def planar_realizations(t: RootedTree) -> tuple:
     """All planar trees T with canonicalize(T) == t; length equals e(t).
-    The orders of the root's children are found among all k! permutations."""
+    Each distinct order of the root's children, in canonical key order,
+    with every combination of the children's own realizations."""
     check_weight(t.size - 1, "planar realization")
-    if not t.children:
-        return (PDOT,)
-    arrangements = sorted(
-        set(itertools.permutations(t.children)),
-        key=lambda arr: tuple(c.key for c in arr),
-    )
     out = []
-    for arr in arrangements:
-        for combo in itertools.product(*(planar_realizations(c) for c in arr)):
-            out.append(PlanarTree(combo))
+    for arr in multiset_orders(t.children, key=_KEY):
+        realized = map(planar_realizations, arr)
+        out.extend(map(PlanarTree, itertools.product(*realized)))
     return tuple(out)
 
 

@@ -273,6 +273,31 @@ def series_product(d1: dict, d2: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# orders of a multiset, by all k! permutations
+
+
+def planar_realizations_by_permutations(t: RootedTree) -> tuple:
+    """The planar realizations of t: the distinct orders of the root's
+    children, found among all k! permutations and sorted by their keys,
+    each with every combination of the children's realizations."""
+    arrangements = sorted(
+        set(itertools.permutations(t.children)),
+        key=lambda arr: tuple(c.key for c in arr),
+    )
+    out = []
+    for arr in arrangements:
+        children = (planar_realizations_by_permutations(c) for c in arr)
+        out.extend(PlanarTree(combo) for combo in itertools.product(*children))
+    return tuple(out)
+
+
+def arrangements_by_permutations(lam: Partition) -> list:
+    """The distinct compositions with the parts of lam, found among all k!
+    permutations of its k parts, in lexicographic order."""
+    return [Composition(p) for p in sorted(set(itertools.permutations(lam.parts)))]
+
+
+# ---------------------------------------------------------------------------
 # tree statistics
 
 

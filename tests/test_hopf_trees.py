@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from hopftrees.hopf_trees import (
     ck_antipode,
     ck_coproduct,
     ck_ops,
+    cut_counts,
     cuts_of,
     gl_coproduct,
     gl_ops,
@@ -214,6 +216,71 @@ def test_cuts_match_edge_subset_oracle():
                 (c.fallen, c.root_part, c.weight, c.admissible) for c in got
             )
             assert pieces == expected, t
+
+
+@lru_cache(maxsize=None)
+def _per_cut_tally(tree) -> Counter:
+    return Counter(_oracle_cuts(tree))
+
+
+def test_cut_counts_match_edge_subset_oracle():
+    # each distinct cut once, with the number of edge sets that give it
+    trees = [
+        t
+        for n in range(8)
+        for t in enumerate_planar(n) + enumerate_rooted(n)
+    ]
+    for t in trees:
+        want = _per_cut_tally(t)
+        for admissible_only in (False, True):
+            got = {
+                (c.fallen, c.root_part, c.weight, c.admissible): k
+                for c, k in cut_counts(t, admissible_only).items()
+            }
+            assert got == {
+                cut: k for cut, k in want.items() if cut[3] or not admissible_only
+            }, t
+
+
+def _per_cut_coproduct(t, ring) -> TensorElem:
+    """t x 1 plus one term fallen part x root part per admissible edge set."""
+    forest = t.forest
+    terms = [((forest((t,)), forest()), 1)]
+    for fallen, root, _, admissible in _oracle_cuts(t):
+        if admissible:
+            terms.append(((fallen, forest((root,))), 1))
+    return TensorElem(ring, terms)
+
+
+def _per_cut_antipode(t, ring) -> LinComb:
+    """-(-1)^|c| reverse(fallen) * root part, one term per edge set c."""
+    forest = t.forest
+    terms = [
+        (fallen.reverse().mul(forest((root,))), -((-1) ** weight))
+        for fallen, root, weight, _ in _oracle_cuts(t)
+    ]
+    return LinComb(ring, terms)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+@pytest.mark.parametrize(
+    "ops, coproduct, antipode",
+    [(ck_ops, ck_coproduct, ck_antipode), (hf_ops, hf_coproduct, hf_antipode)],
+    ids=["H_K", "H_F"],
+)
+def test_cut_maps_match_per_cut_route(ring, ops, coproduct, antipode):
+    # every basis forest to weight 7, with and without the ops memo
+    hopf = ops(ring)
+    mul = MonomialProduct(ring)
+    for n in range(8):
+        for x in hopf.basis(n):
+            unit = type(x)()
+            want = extend_multiplicatively(ring, unit, x.trees, _per_cut_coproduct)
+            assert coproduct(x, ring) == want == hopf.coproduct(x), x
+            want = LinComb.term(ring, unit)
+            for t in reversed(x.trees):
+                want = want.bilinear(mul, _per_cut_antipode(t, ring))
+            assert antipode(x, ring) == want == hopf.antipode_basis(x), x
 
 
 def test_cut_resource_cap():

@@ -25,17 +25,18 @@ from hopftrees.symfun import (
     qsym_product,
     qsym_product_comp,
     sym_coproduct,
-    sym_embed,
     sym_from_qsym,
     sym_pairing,
     sym_pairing_elems,
     sym_product,
     tau,
+    tau_star,
     to_e_products,
     to_h_basis,
 )
+from hopftrees.trees import degree_ceiling
 
-from oracles import series_oracle, series_product
+from oracles import arrangements_by_permutations, series_oracle, series_product
 
 C = Composition
 P = Partition
@@ -114,6 +115,19 @@ def test_partition_composition_enumeration():
     ]
 
 
+def test_arrangements_match_permutation_walk():
+    # the same compositions in the same order, exhaustively to degree 8
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert distinct_arrangements(lam) == arrangements_by_permutations(lam)
+
+
+def test_all_ones_have_one_arrangement_under_the_default_ceiling(monkeypatch):
+    monkeypatch.delenv("HOPFTREES_MAX_DEGREE", raising=False)
+    ones = P([1] * degree_ceiling())
+    assert distinct_arrangements(ones) == [C([1] * degree_ceiling())]
+
+
 def test_quasi_shuffle_examples():
     assert qsym_product_comp(C([1]), C([1])) == M(1, 1).scale(2) + M(2)
     assert qsym_product(M(2, 1), LinComb.term(QQ, C())) == M(2, 1)
@@ -125,7 +139,7 @@ def test_quasi_shuffle_examples():
 def test_series_oracle_definition():
     assert series_oracle(M(2), 2) == {(2, 0): 1, (0, 2): 1}
     assert series_oracle(M(1, 1), 2) == {(1, 1): 1}
-    e2 = sym_embed(basis_expand("e", 2))
+    e2 = tau_star(basis_expand("e", 2))
     assert series_oracle(e2, 3) == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
     with pytest.raises(ValueError):
         series_oracle(M(1, 1, 1), 2)
@@ -227,7 +241,7 @@ def test_basis_expand():
 
 def test_h_equals_sum_of_M():
     for k in range(1, 7):
-        embedded = sym_embed(basis_expand("h", k))
+        embedded = tau_star(basis_expand("h", k))
         expected = LinComb(QQ, {c: 1 for c in compositions_of(k)})
         assert embedded == expected
 
@@ -238,10 +252,10 @@ def test_embedding_intertwines_coproducts():
             lhs = TensorElem.zero(QQ)
             for (a, b), c in sym_coproduct(lam).terms.items():
                 lhs = lhs + TensorElem.tensor(
-                    sym_embed(LinComb.term(QQ, a)), sym_embed(LinComb.term(QQ, b))
+                    tau_star(LinComb.term(QQ, a)), tau_star(LinComb.term(QQ, b))
                 ).scale(c)
             rhs = TensorElem.zero(QQ)
-            for comp, c in sym_embed(LinComb.term(QQ, lam)).terms.items():
+            for comp, c in tau_star(LinComb.term(QQ, lam)).terms.items():
                 rhs = rhs + qsym_coproduct(comp).scale(c)
             assert lhs == rhs
 
@@ -339,7 +353,7 @@ def test_to_h_basis_round_trip():
 
 def test_sym_from_qsym_consistency():
     x = m(2, 1)
-    assert sym_from_qsym(sym_embed(x)) == x
+    assert sym_from_qsym(tau_star(x)) == x
 
 
 def test_qsym_not_cocommutative_witness():

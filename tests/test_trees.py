@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -22,6 +23,7 @@ from hopftrees.trees import (
     enumerate_planar,
     enumerate_rooted,
     ladder,
+    multiset_orders,
     planar_ladder,
     planar_realizations,
     rooted_count_recurrence,
@@ -30,7 +32,7 @@ from hopftrees.trees import (
     to_planar,
 )
 
-from oracles import child_factorial_product
+from oracles import child_factorial_product, planar_realizations_by_permutations
 
 CHERRY = RootedTree([DOT, DOT])
 
@@ -170,6 +172,28 @@ def test_planar_preimage_partition():
         for t in enumerate_rooted(n):
             seen.extend(planar_realizations(t))
         assert sorted(T.bba for T in seen) == sorted(T.bba for T in enumerate_planar(n))
+
+
+@pytest.mark.parametrize(
+    "items", [(), (1,), (2, 2), (1, 2, 3), (3, 1, 1, 2), (2, 2, 1, 1, 1), (1,) * 5]
+)
+def test_multiset_orders_are_the_sorted_distinct_permutations(items):
+    want = sorted(set(itertools.permutations(items)))
+    assert list(multiset_orders(items)) == want
+    assert list(multiset_orders(reversed(items))) == want
+
+
+def test_realizations_match_permutation_walk():
+    # the same planar trees in the same order, exhaustively to degree 8
+    for n in range(9):
+        for t in enumerate_rooted(n):
+            assert planar_realizations(t) == planar_realizations_by_permutations(t)
+
+
+def test_bush_has_one_realization_under_the_default_ceiling(monkeypatch):
+    monkeypatch.delenv("HOPFTREES_MAX_DEGREE", raising=False)
+    bush = t_lambda([1] * degree_ceiling())
+    assert planar_realizations(bush) == (PlanarTree([PDOT] * degree_ceiling()),)
 
 
 def test_ladder_families():
