@@ -102,10 +102,9 @@ from .special import (
 )
 from .dse import (
     DSESolution,
-    Q_poly,
-    cp_coefficient,
+    coproduct_coefficient,
     coproduct_theorem_check,
-    q_poly,
+    cp_coefficient,
     solve_closed,
     solve_recursive,
 )

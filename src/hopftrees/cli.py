@@ -440,6 +440,17 @@ def render_lincomb(x: LinComb, algebra: str) -> str:
 
 
 def lincomb_json(x: LinComb, algebra: str) -> list:
+    """One object per term; a TensorElem's pair (a, b) gives "left" and
+    "right" where a single basis element gives "monomial"."""
+    if isinstance(x, TensorElem):
+        return [
+            {
+                "left": render_basis(a, algebra),
+                "right": render_basis(b, algebra),
+                "coeff": x.ring.render(c),
+            }
+            for (a, b), c in x.sorted_terms()
+        ]
     return [
         {"monomial": render_basis(b, algebra), "coeff": x.ring.render(c)}
         for b, c in x.sorted_terms()
@@ -467,32 +478,8 @@ _PAIRINGS = {
 
 def _cmd_op(args) -> int:
     expr = parse_expr(args.expr, args.algebra, args.scalars)
-    ring = expr.value.ring
-    ops = _ops_for(args.algebra, ring)
-    if args.kind == "product":
-        if args.expr2 is None:
-            raise ExprParseError(0, "product needs --expr2")
-        other = parse_expr(args.expr2, args.algebra, args.scalars)
-        result = ops.product_lc(expr.value, other.value)
-        _emit_lincomb(result, args.algebra, args.format)
-    elif args.kind == "coproduct":
-        result = ops.coproduct_lc(expr.value)
-        if args.format == "json":
-            payload = [
-                {
-                    "left": render_basis(a, args.algebra),
-                    "right": render_basis(b, args.algebra),
-                    "coeff": ring.render(c),
-                }
-                for (a, b), c in result.sorted_terms()
-            ]
-            print(json.dumps({"algebra": args.algebra, "terms": payload}, indent=2))
-        else:
-            print(render_lincomb(result, args.algebra))
-    elif args.kind == "antipode":
-        result = ops.antipode_lc(expr.value)
-        _emit_lincomb(result, args.algebra, args.format)
-    elif args.kind == "pair":
+    ops = _ops_for(args.algebra, expr.value.ring)
+    if args.kind == "pair":
         if args.expr2 is None:
             raise ExprParseError(0, "pair needs --expr2")
         other = parse_expr(args.expr2, args.algebra, args.scalars)
@@ -504,6 +491,17 @@ def _cmd_op(args) -> int:
             print(f"no pairing available for {args.algebra}", file=sys.stderr)
             return 2
         print(value)
+        return 0
+    if args.kind == "product":
+        if args.expr2 is None:
+            raise ExprParseError(0, "product needs --expr2")
+        other = parse_expr(args.expr2, args.algebra, args.scalars)
+        result = ops.product_lc(expr.value, other.value)
+    elif args.kind == "coproduct":
+        result = ops.coproduct_lc(expr.value)
+    else:
+        result = ops.antipode_lc(expr.value)
+    _emit_lincomb(result, args.algebra, args.format)
     return 0
 
 
@@ -592,10 +590,11 @@ def _cmd_dse(args) -> int:
     if value is not None:
         terms = {n: dse_mod.specialize(x, value) for n, x in terms.items()}
     if args.format == "json":
-        payload = [
+        parts = [
             {"degree": n, "terms": lincomb_json(x, algebra)}
             for n, x in sorted(terms.items())
         ]
+        payload = {"parts": parts, "reports": [rep.to_json() for rep in reports]}
         print(json.dumps(payload, indent=2))
     else:
         for n, x in sorted(terms.items()):

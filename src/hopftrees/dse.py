@@ -22,11 +22,7 @@ from .freemodule import (
 )
 from .hopf_trees import bplus, ck_ops, hf_ops
 from .scalar import ONE_POLY, Poly, QQ, QP, binom_of, binom_poly, poly_eval
-from .special import multinomial
-from .symfun import compositions_of_length, partitions_of
 from .trees import (
-    EMPTY_FOREST,
-    EMPTY_ORDERED,
     Forest,
     OrderedForest,
     embedding_count,
@@ -75,16 +71,30 @@ def _binom_product(counts: tuple) -> Poly:
     return acc
 
 
+def add_powers(ops, x: dict, powers: dict, degrees) -> dict:
+    """Put the convolution powers of X = sum X_m of each degree n in degrees,
+    taken in increasing order, into powers and return it, keyed (k, n):
+    Y_1[n] = X_n and Y_k[n] = sum_j Y_{k-1}[n-j] X_j, the sum of the ordered
+    k-fold products of parts of total degree n.  Degree n needs the parts to
+    degree n and the powers of lower degrees."""
+    for n in degrees:
+        powers[1, n] = x[n]
+        for k in range(2, n + 1):
+            y = LinComb.zero(QP)
+            for j in range(1, n - k + 2):
+                accumulate(y, ops.product_lc(powers[k - 1, n - j], x[j]), QP.one)
+            powers[k, n] = y
+    return powers
+
+
 def _fixed_point(ops, max_degree: int) -> dict:
     """Degree-by-degree fixed-point recursion in the forest algebra of ops.
 
     The first term is the single vertex; the part of degree n+1 is the sum
-    over 1 <= k <= n of binom(p, k) applied to the root-grafting of Y_k[n],
-    the sum of all length-k products of lower parts with total degree n.
-    Y_k is the k-th convolution power of X = sum X_n: Y_1[n] = X_n and
-    Y_k[n] = sum_j Y_{k-1}[n-j] X_j, so each Y_k[n] is one product per last
-    part, built from powers kept from lower degrees.  B+ is injective, so
-    each term of Y_k[n] goes grafted and scaled straight into the sum.
+    over 1 <= k <= n of binom(p, k) applied to the root-grafting of Y_k[n]
+    (add_powers), built from powers kept from lower degrees.  B+ is
+    injective, so each term of Y_k[n] goes grafted and scaled straight into
+    the sum.
     """
 
     def grafted(f):
@@ -93,14 +103,9 @@ def _fixed_point(ops, max_degree: int) -> dict:
     x = {}
     if max_degree >= 1:
         x[1] = LinComb.term(QP, grafted(ops.unit))
-    powers = {}  # (k, n) -> Y_k[n]
+    powers = {}
     for n in range(1, max_degree):
-        powers[1, n] = x[n]
-        for k in range(2, n + 1):
-            y = LinComb.zero(QP)
-            for j in range(1, n - k + 2):
-                accumulate(y, ops.product_lc(powers[k - 1, n - j], x[j]), QP.one)
-            powers[k, n] = y
+        add_powers(ops, x, powers, [n])
         acc = LinComb.zero(QP)
         for k in range(1, n + 1):
             terms = powers[k, n].terms.items()
@@ -144,50 +149,19 @@ def solve_closed(max_degree: int) -> DSESolution:
     return sol
 
 
-def _affine_argument(k: int) -> Poly:
-    # k(p-1)+1 as a polynomial in p
-    return Poly((1 - k, k))
-
-
-def q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
-    """Coefficient polynomial of the commutative coproduct formula: for k = n
-    the unit; otherwise the multinomial-weighted sum over monomials in the
-    lower parts of total degree n-k."""
+def coproduct_coefficient(ops, powers: dict, n: int, k: int) -> LinComb:
+    """Q_{n,k} of the coproduct theorem Delta(X_n) = sum_k Q_{n,k} (x) X_k, in
+    the forest algebra of ops: the unit for k = n, otherwise
+    sum_q binom(k(p-1)+1, q) Y_q[n-k] over the convolution powers of the parts
+    (add_powers).  In H_K this is q_{n,k} = rho(Q_{n,k})."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    ck = ck_ops(QP)
     if k == n:
-        return LinComb.term(QP, EMPTY_FOREST)
+        return ops.one_lc()
     acc = LinComb.zero(QP)
-    arg = _affine_argument(k)
-    for mu in partitions_of(n - k):
-        mults = mu.multiplicities()
-        q = mu.length
-        scalar = binom_of(arg, q) * multinomial(mults.values())
-        prod = LinComb.term(QP, EMPTY_FOREST)
-        for part in mu.parts:
-            prod = ck.product_lc(prod, sol.hk(part))
-        accumulate(acc, prod, scalar)
-    return acc
-
-
-def Q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
-    """Planar analogue: ordered products over compositions of n-k, each length
-    q weighted by binom(k(p-1)+1, q)."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    hf = hf_ops(QP)
-    if k == n:
-        return LinComb.term(QP, EMPTY_ORDERED)
-    acc = LinComb.zero(QP)
-    arg = _affine_argument(k)
+    arg = Poly((1 - k, k))  # k(p-1)+1
     for q in range(1, n - k + 1):
-        scalar = binom_of(arg, q)
-        for comp in compositions_of_length(n - k, q):
-            prod = LinComb.term(QP, EMPTY_ORDERED)
-            for ni in comp:
-                prod = hf.product_lc(prod, sol.hf(ni))
-            accumulate(acc, prod, scalar)
+        accumulate(acc, powers[q, n - k], binom_of(arg, q))
     return acc
 
 
@@ -199,30 +173,31 @@ def coproduct_check_degrees(max_degree: int) -> tuple:
 
 
 def coproduct_theorem_check(
-    max_degree_hk: int, max_degree_hf: int | None = None, sol: DSESolution | None = None
+    max_degree_hk: int, max_degree_hf: int, sol: DSESolution
 ) -> Report:
     """Exact polynomial-coefficient comparison of the computed coproducts of
-    the solution parts against the closed coproduct formulas, in both
-    algebras, plus a rational cross-check after evaluating at p = 2."""
-    if max_degree_hf is None:
-        max_degree_hf = max_degree_hk
-    if sol is None:
-        sol = solve_closed(max(max_degree_hk, max_degree_hf))
+    the solution parts against the coproduct theorem, in both algebras, plus
+    a rational cross-check after evaluating at p = 2.  Each algebra's
+    convolution powers are built once from the solution's parts."""
     rep = Report("solution coproduct formulas", max_degree_hk)
     ck = ck_ops(QP)
     hf = hf_ops(QP)
 
-    def formula_sides(ops, part, poly, n) -> tuple:
+    def formula_sides(ops, parts, powers, n) -> tuple:
         """The coproduct of the degree-n part, and its closed formula."""
-        lhs = ops.coproduct_lc(part(n))
-        rhs = TensorElem.tensor(part(n), ops.one_lc())
+        lhs = ops.coproduct_lc(parts[n])
+        rhs = TensorElem.tensor(parts[n], ops.one_lc())
         for k in range(1, n + 1):
-            accumulate(rhs, TensorElem.tensor(poly(n, k, sol), part(k)), QP.one)
+            q = coproduct_coefficient(ops, powers, n, k)
+            accumulate(rhs, TensorElem.tensor(q, parts[k]), QP.one)
         return lhs, rhs
+
+    hk_powers = add_powers(ck, sol.hk_terms, {}, range(1, max_degree_hk))
+    hf_powers = add_powers(hf, sol.hf_terms, {}, range(1, max_degree_hf))
 
     @lru_cache(maxsize=None)
     def hk_sides(n):
-        return formula_sides(ck, sol.hk, q_poly, n)
+        return formula_sides(ck, sol.hk_terms, hk_powers, n)
 
     def hk_case(n):
         return difference_witness(f"n={n}", *hk_sides(n))
@@ -230,7 +205,7 @@ def coproduct_theorem_check(
     rep.law("commutative coproduct formula", range(1, max_degree_hk + 1), hk_case)
 
     def hf_case(n):
-        lhs, rhs = formula_sides(hf, sol.hf, Q_poly, n)
+        lhs, rhs = formula_sides(hf, sol.hf_terms, hf_powers, n)
         return difference_witness(f"n={n}", lhs, rhs)
 
     rep.law("planar coproduct formula", range(1, max_degree_hf + 1), hf_case)

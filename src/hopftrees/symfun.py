@@ -19,6 +19,7 @@ from .freemodule import (
     LinComb,
     Report,
     TensorElem,
+    _check_ring,
     accumulate,
     as_lincomb,
     difference_witness,
@@ -138,24 +139,6 @@ def compositions_of(n: int) -> tuple:
                 yield (first,) + rest
 
     return tuple(sorted((Composition(c) for c in gen(n)), key=lambda q: q.sort_key))
-
-
-def compositions_of_length(n: int, k: int):
-    """Length-k compositions of n (parts >= 1)."""
-    if k == 0:
-        return [()] if n == 0 else []
-    out = []
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            if remaining >= 1:
-                out.append(prefix + (remaining,))
-            return
-        for first in range(1, remaining - slots + 2):
-            gen(prefix + (first,), remaining - first, slots - 1)
-
-    gen((), n, k)
-    return out
 
 
 def coarsenings(comp: Composition):
@@ -352,10 +335,14 @@ def to_e_products(x: LinComb):
     return out
 
 
-def _gauss_solve(matrix, rhs):
-    """Solve A x = rhs exactly over the rationals (A square, invertible)."""
+def _inverse(matrix) -> list:
+    """The inverse of a square invertible matrix, exactly over the rationals:
+    Gauss-Jordan elimination on [A | I]."""
     n = len(matrix)
-    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs)]
+    a = [
+        list(map(Fraction, row)) + [Fraction(int(i == r)) for i in range(n)]
+        for r, row in enumerate(matrix)
+    ]
     for col in range(n):
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[pivot] = a[pivot], a[col]
@@ -365,38 +352,41 @@ def _gauss_solve(matrix, rhs):
             if r != col and a[r][col]:
                 factor = a[r][col]
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    return [row[n:] for row in a]
 
 
 @lru_cache(maxsize=None)
 def _h_matrix(n: int):
-    """Rows: m-expansions of h_lambda over partitions of n."""
+    """The partitions of n, and the matrix taking the m-coefficients of a
+    degree-n element to its h-coefficients: the inverse of the transpose of
+    the m-expansions of the h_lambda, solved once over QQ.  h is a basis of
+    Sym over the integers, so every entry is an integer."""
     lams = partitions_of(n)
     index = {lam: i for i, lam in enumerate(lams)}
-    rows = []
-    for lam in lams:
-        exp = product_expansion("h", lam.parts, QQ)
-        row = [Fraction(0)] * len(lams)
-        for mu, c in exp.terms.items():
-            row[index[mu]] = c
-        rows.append(tuple(row))
-    return lams, tuple(rows)
+    transposed = [[0] * len(lams) for _ in lams]
+    for j, lam in enumerate(lams):
+        for mu, c in product_expansion("h", lam.parts, QQ).terms.items():
+            transposed[index[mu]][j] = c
+    return lams, tuple(map(tuple, _inverse(transposed)))
 
 
 def to_h_basis(x: LinComb) -> LinComb:
-    """Coefficients of a symmetric element over the products h_lambda."""
-    acc = LinComb.zero(x.ring)
+    """Coefficients of a symmetric element over the products h_lambda, in
+    the ring of x."""
+    ring = x.ring
     by_degree: dict[int, dict] = {}
     for lam, c in x.terms.items():
         by_degree.setdefault(lam.weight, {})[lam] = c
+    out = {}
     for n, terms in by_degree.items():
-        lams, rows = _h_matrix(n)
-        rhs = [terms.get(lam, Fraction(0)) for lam in lams]
-        # solve transpose(H) c = x
-        transposed = [[rows[j][i] for j in range(len(lams))] for i in range(len(lams))]
-        sol = _gauss_solve(transposed, rhs)
-        accumulate(acc, LinComb(x.ring, dict(zip(lams, sol))), x.ring.one)
-    return acc
+        lams, inverse = _h_matrix(n)
+        for lam, row in zip(lams, inverse):
+            acc = ring.zero
+            for a, mu in zip(row, lams):
+                if a and mu in terms:
+                    acc = acc + ring.coerce(a) * terms[mu]
+            out[lam] = acc
+    return LinComb(ring, out)
 
 
 def sym_pairing(lam: Partition, mu: Partition) -> Fraction:
@@ -404,10 +394,12 @@ def sym_pairing(lam: Partition, mu: Partition) -> Fraction:
     return Fraction(1) if lam == mu else Fraction(0)
 
 
-def sym_pairing_elems(x: LinComb, y: LinComb) -> Fraction:
-    """Inner product of two monomial-basis elements: expand the first over
-    the h basis and pair against the monomial coefficients of the second."""
-    acc = Fraction(0)
+def sym_pairing_elems(x: LinComb, y: LinComb):
+    """Inner product of two monomial-basis elements over one ring: expand the
+    first over the h basis and pair against the monomial coefficients of the
+    second."""
+    _check_ring(x, y)
+    acc = x.ring.zero
     h_side = to_h_basis(x)
     for lam, c in h_side.terms.items():
         acc += c * y.coeff(lam)

@@ -10,12 +10,21 @@ from fractions import Fraction
 from math import factorial
 
 from hopftrees.coproducts import extend_multiplicatively
+from hopftrees.dse import DSESolution
 from hopftrees.freemodule import LinComb, TensorElem, accumulate, as_lincomb
-from hopftrees.hopf_trees import bminus, bplus, gl_ops
-from hopftrees.scalar import ONE_POLY, Poly, QQ, binom_poly
-from hopftrees.special import kappa
-from hopftrees.symfun import EMPTY_COMPOSITION, Composition, Partition
-from hopftrees.trees import DOT, PlanarTree, RootedTree, bba_decode, sym_order
+from hopftrees.hopf_trees import bminus, bplus, ck_ops, gl_ops, hf_ops
+from hopftrees.scalar import ONE_POLY, Poly, QP, QQ, binom_of, binom_poly
+from hopftrees.special import kappa, multinomial
+from hopftrees.symfun import EMPTY_COMPOSITION, Composition, Partition, partitions_of
+from hopftrees.trees import (
+    DOT,
+    EMPTY_FOREST,
+    EMPTY_ORDERED,
+    PlanarTree,
+    RootedTree,
+    bba_decode,
+    sym_order,
+)
 
 # ---------------------------------------------------------------------------
 # grafting products
@@ -365,3 +374,76 @@ def divided_powers_over_qq(n: int) -> tuple:
     for i in range(n + 1):
         accumulate(rhs, TensorElem.tensor(kappa(i), kappa(n - i)), 1)
     return gl_ops(QQ).coproduct_lc(kappa(n)), rhs
+
+
+# ---------------------------------------------------------------------------
+# the coproduct theorem's coefficients, one product chain per monomial
+#
+# q_{n,k} summed over the partitions of n-k with multinomial weights, and
+# Q_{n,k} over the compositions of n-k: a second route to what
+# dse.coproduct_coefficient reads off the convolution powers.
+
+
+def compositions_of_length(n: int, k: int):
+    """Length-k compositions of n (parts >= 1)."""
+    if k == 0:
+        return [()] if n == 0 else []
+    out = []
+
+    def gen(prefix, remaining, slots):
+        if slots == 1:
+            if remaining >= 1:
+                out.append(prefix + (remaining,))
+            return
+        for first in range(1, remaining - slots + 2):
+            gen(prefix + (first,), remaining - first, slots - 1)
+
+    gen((), n, k)
+    return out
+
+
+def _affine_argument(k: int) -> Poly:
+    # k(p-1)+1 as a polynomial in p
+    return Poly((1 - k, k))
+
+
+def q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
+    """Coefficient polynomial of the commutative coproduct formula: for k = n
+    the unit; otherwise the multinomial-weighted sum over monomials in the
+    lower parts of total degree n-k."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    ck = ck_ops(QP)
+    if k == n:
+        return LinComb.term(QP, EMPTY_FOREST)
+    acc = LinComb.zero(QP)
+    arg = _affine_argument(k)
+    for mu in partitions_of(n - k):
+        mults = mu.multiplicities()
+        q = mu.length
+        scalar = binom_of(arg, q) * multinomial(mults.values())
+        prod = LinComb.term(QP, EMPTY_FOREST)
+        for part in mu.parts:
+            prod = ck.product_lc(prod, sol.hk(part))
+        accumulate(acc, prod, scalar)
+    return acc
+
+
+def Q_poly(n: int, k: int, sol: DSESolution) -> LinComb:
+    """Planar analogue: ordered products over compositions of n-k, each length
+    q weighted by binom(k(p-1)+1, q)."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    hf = hf_ops(QP)
+    if k == n:
+        return LinComb.term(QP, EMPTY_ORDERED)
+    acc = LinComb.zero(QP)
+    arg = _affine_argument(k)
+    for q in range(1, n - k + 1):
+        scalar = binom_of(arg, q)
+        for comp in compositions_of_length(n - k, q):
+            prod = LinComb.term(QP, EMPTY_ORDERED)
+            for ni in comp:
+                prod = hf.product_lc(prod, sol.hf(ni))
+            accumulate(acc, prod, scalar)
+    return acc

@@ -15,10 +15,10 @@ from hopftrees.cli import (
     render_lincomb,
     run,
 )
-from hopftrees.freemodule import HopfOps, LinComb, Report, check_axioms
+from hopftrees.freemodule import HopfOps, LinComb, Report, RingMismatchError, check_axioms
 from hopftrees.hopf_trees import gl_ops
 from hopftrees.scalar import P, QP, QQ, ZZ, binom_poly
-from hopftrees.symfun import Composition, Partition
+from hopftrees.symfun import Composition, Partition, partitions_of, sym_pairing_elems
 from hopftrees.trees import (
     DOT,
     Forest,
@@ -233,6 +233,36 @@ def test_cli_op_pair(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_cli_sym_pairing_over_polynomials(capsys):
+    # the h-to-m solve is over QQ, and the pairing runs in the input's ring
+    code = run(
+        [
+            "op",
+            "--algebra",
+            "sym",
+            "--kind",
+            "pair",
+            "--scalars",
+            "poly",
+            "--expr",
+            "p*m[1]",
+            "--expr2",
+            "m[1]",
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "p"
+    lams = [lam for n in range(6) for lam in partitions_of(n)]
+    for lam in lams:
+        x = LinComb.term(QQ, lam)
+        xp = LinComb.term(QP, lam, P)
+        for mu in lams:
+            want = sym_pairing_elems(x, LinComb.term(QQ, mu))
+            assert sym_pairing_elems(xp, LinComb.term(QP, mu)) == P * want
+    with pytest.raises(RingMismatchError):
+        sym_pairing_elems(LinComb.term(QQ, lams[1]), LinComb.term(QP, lams[1]))
+
+
 def test_cli_map(capsys):
     assert run(["map", "--name", "phistar", "--expr", "(<><>)"]) == 0
     assert capsys.readouterr().out.strip() == "2*m[1,1]"
@@ -327,9 +357,31 @@ def test_cli_dse_json(capsys):
     code = run(["dse", "--max-degree", "3", "--format", "json"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
-    by_degree = {entry["degree"]: entry["terms"] for entry in data}
+    by_degree = {entry["degree"]: entry["terms"] for entry in data["parts"]}
     assert by_degree[2] == [{"monomial": "(<>)", "coeff": "p"}]
     assert {"monomial": "(<><>)", "coeff": "-1/2*p + 1/2*p^2"} in by_degree[3]
+    [consistency] = data["reports"]
+    assert consistency["name"] == "solution consistency" and consistency["passed"]
+
+
+def test_cli_dse_json_names_the_failing_laws(capsys):
+    # at degree 0 no law checks a case, so every one fails, and the JSON
+    # says which
+    code = run(["dse", "--max-degree", "0", "--format", "json", "--check-coproduct"])
+    assert code == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["parts"] == []
+    assert [r["name"] for r in data["reports"]] == [
+        "solution consistency",
+        "solution coproduct formulas",
+    ]
+    assert not any(r["passed"] for r in data["reports"])
+    assert data["reports"][1]["laws"][0] == {
+        "law": "commutative coproduct formula",
+        "status": "fail",
+        "checked": 0,
+        "witness": "no cases checked",
+    }
 
 
 def test_cli_dse_specialized(capsys):

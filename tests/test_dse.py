@@ -4,11 +4,11 @@ import pytest
 
 from hopftrees import dse
 from hopftrees.dse import (
-    Q_poly,
+    add_powers,
+    coproduct_coefficient,
     coproduct_theorem_check,
     cp_coefficient,
     ladder_specialization_holds,
-    q_poly,
     solve_closed,
     solve_recursive,
     specialize,
@@ -31,7 +31,7 @@ from hopftrees.trees import (
     planar_ladder,
 )
 
-from oracles import expanded_coefficient
+from oracles import Q_poly, expanded_coefficient, q_poly
 
 
 @pytest.fixture(scope="module")
@@ -161,17 +161,48 @@ def test_rho_projection_invariant():
 
 
 def test_q_poly_examples(sol):
-    assert q_poly(3, 3, sol) == LinComb.term(QP, EMPTY_FOREST)
-    assert q_poly(2, 1, sol) == sol.hk(1).scale(P)
+    ck = ck_ops(QP)
+    powers = add_powers(ck, sol.hk_terms, {}, range(1, 6))
+    assert coproduct_coefficient(ck, powers, 3, 3) == LinComb.term(QP, EMPTY_FOREST)
+    assert coproduct_coefficient(ck, powers, 2, 1) == sol.hk(1).scale(P)
     with pytest.raises(ValueError):
-        q_poly(2, 3, sol)
+        coproduct_coefficient(ck, powers, 2, 3)
 
 
 def test_Q_poly_expansion(sol):
     hf = hf_ops(QP)
     x1x1 = hf.product_lc(sol.hf(1), sol.hf(1))
     expected = sol.hf(2).scale(binom_poly(1)) + x1x1.scale(binom_poly(2))
-    assert Q_poly(3, 1, sol) == expected
+    powers = add_powers(hf, sol.hf_terms, {}, range(1, 6))
+    assert coproduct_coefficient(hf, powers, 3, 1) == expected
+
+
+def test_coproduct_coefficient_matches_both_oracles():
+    # the one coefficient over the convolution powers against the partition
+    # route in H_K and the composition route in H_F
+    sol = solve_closed(8)
+    for ops, parts, oracle in (
+        (ck_ops(QP), sol.hk_terms, q_poly),
+        (hf_ops(QP), sol.hf_terms, Q_poly),
+    ):
+        powers = add_powers(ops, parts, {}, range(1, 8))
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                assert coproduct_coefficient(ops, powers, n, k) == oracle(n, k, sol)
+
+
+def test_rho_maps_planar_coefficients_to_commutative_ones():
+    # the paper's square on the coproduct theorem: rho(Q_{n,k}) = q_{n,k}
+    from hopftrees.morphisms import rho
+
+    sol = solve_closed(7)
+    ck, hf = ck_ops(QP), hf_ops(QP)
+    hk_powers = add_powers(ck, sol.hk_terms, {}, range(1, 7))
+    hf_powers = add_powers(hf, sol.hf_terms, {}, range(1, 7))
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            planar = coproduct_coefficient(hf, hf_powers, n, k)
+            assert rho(planar) == coproduct_coefficient(ck, hk_powers, n, k)
 
 
 def test_coproduct_display_degree_two(sol):
@@ -192,25 +223,25 @@ def test_coproduct_theorem_small(sol):
 
 
 @pytest.mark.parametrize(
-    "name, laws",
+    "algebra, laws",
     [
-        ("q_poly", {"commutative coproduct formula", "rational specialization at p=2"}),
-        ("Q_poly", {"planar coproduct formula"}),
+        ("H_K", {"commutative coproduct formula", "rational specialization at p=2"}),
+        ("H_F", {"planar coproduct formula"}),
     ],
 )
-def test_coproduct_formula_laws_show_the_difference(monkeypatch, sol, name, laws):
-    """One term added to the closed coefficient q_{3,1}, or Q_{3,1}: the
-    formula laws built from it fail at n=3, each witness showing lhs - rhs,
-    a combination of tensor pairs."""
-    exact = getattr(dse, name)
+def test_coproduct_formula_laws_show_the_difference(monkeypatch, sol, algebra, laws):
+    """One term added to the coefficient Q_{3,1} of one algebra: the formula
+    laws built from it fail at n=3, each witness showing lhs - rhs, a
+    combination of tensor pairs."""
+    exact = dse.coproduct_coefficient
 
-    def corrupted(n, k, sol):
-        out = exact(n, k, sol)
-        if (n, k) == (3, 1):
+    def corrupted(ops, powers, n, k):
+        out = exact(ops, powers, n, k)
+        if (n, k) == (3, 1) and ops.name == algebra:
             out = out + LinComb.term(QP, out.sorted_terms()[0][0])
         return out
 
-    monkeypatch.setattr(dse, name, corrupted)
+    monkeypatch.setattr(dse, "coproduct_coefficient", corrupted)
     failed = {e.law: e.witness for e in coproduct_theorem_check(4, 4, sol).entries if not e.ok}
     assert set(failed) == laws
     for witness in failed.values():
