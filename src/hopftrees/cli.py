@@ -1,5 +1,5 @@
 """Command-line interface: expression parsing, operation dispatch, and the
-verification suites with machine-readable output.
+rendering of results and verification reports, as text or JSON.
 
 Expression grammar (whitespace insensitive)::
 
@@ -24,20 +24,15 @@ import sys
 from fractions import Fraction
 
 from . import dse as dse_mod
-from . import morphisms, special, symfun
+from . import morphisms, special, suites, symfun
 from .freemodule import (
     LinComb,
-    Report,
     TensorElem,
     accumulate,
-    check_axioms,
-    difference_witness,
-    duality_check,
     pairing_extend,
     reports_to_json,
 )
 from .hopf_trees import (
-    bplus,
     ck_ops,
     gl_ops,
     hf_ops,
@@ -47,7 +42,8 @@ from .hopf_trees import (
     pairing_kp_hf,
     pairing_kt_hk,
 )
-from .scalar import ONE_POLY, Poly, QP, QQ, ZZ, signed_join
+from .scalar import ONE_POLY, Poly, QP, QQ, signed_join
+from .suites import SUITES
 from .symfun import nsym_ops, qsym_ops, sym_ops, sym_pairing_elems
 from .trees import (
     BBAParseError,
@@ -57,7 +53,6 @@ from .trees import (
     _Forest,
     bba_decode,
     canonicalize,
-    check_weight,
     degree_ceiling,
     enumerate_planar,
     enumerate_rooted,
@@ -490,7 +485,11 @@ def _cmd_op(args) -> int:
         else:
             print(f"no pairing available for {args.algebra}", file=sys.stderr)
             return 2
-        print(value)
+        if args.format == "json":
+            payload = {"algebra": args.algebra, "value": expr.value.ring.render(value)}
+            print(json.dumps(payload, indent=2))
+        else:
+            print(value)
         return 0
     if args.kind == "product":
         if args.expr2 is None:
@@ -544,9 +543,6 @@ def _cmd_special(args) -> int:
         expr = parse_expr(args.expr, "gl", "rational")
         print(render_lincomb(special.natural_growth(expr.value, k), "gl"))
         return 0
-    if args.what == "check":
-        n = _nonnegative("--max-degree", args.max_degree)
-        return _emit_reports(_suite_special(n), args.format)
     raise ValueError(args.what)
 
 
@@ -568,23 +564,13 @@ def _nonnegative(flag: str, n: int) -> int:
     return n
 
 
-def _dse_solutions(n: int) -> tuple:
-    """The recursive and the closed DSE solution to degree n.  The closed
-    form enumerates the planar trees of n vertices, weight n - 1, so a
-    degree above the ceiling is refused before either solution starts."""
-    check_weight(max(n - 1, 0), "dse solution")
-    return dse_mod.solve_recursive(n), dse_mod.solve_closed(n)
-
-
 def _cmd_dse(args) -> int:
     n = _nonnegative("--max-degree", args.max_degree)
     value = None if args.p is None else _specialization(args.p)
-    sol, closed = _dse_solutions(n)
-    reports = [_consistency_report(sol, closed)]
+    sol, closed = solutions = suites.prepare("dse", n)
+    reports = [suites.consistency_report(sol, closed)]
     if args.check_coproduct:
-        reports.append(
-            dse_mod.coproduct_theorem_check(*dse_mod.coproduct_check_degrees(n), closed)
-        )
+        reports.append(suites.report("dse", "coproduct", n, solutions))
     algebra = "ck" if args.algebra == "ck" else "foissy"
     terms = sol.hk_terms if algebra == "ck" else sol.hf_terms
     if value is not None:
@@ -604,87 +590,12 @@ def _cmd_dse(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-# Every suite enumerates trees, cuts or arrangements up to weight n, the
-# degree it runs to (the dse suite n - 1), so each refuses a degree above
-# the ceiling before its first law.
-#
-# Every structure constant of the seven algebras counts something (graftings,
-# cuts, shuffles, quasi-shuffles, deconcatenations), and so does every tree
-# pairing, so the axiom and duality suites run over the integers; ZZ rejects
-# a non-integral coefficient instead of rounding it.
-def _suite_axioms(n: int):
-    check_weight(n, "axioms suite")
-    out = []
-    for factory in (gl_ops, ck_ops, kp_ops, sym_ops, qsym_ops, nsym_ops):
-        out.append(check_axioms(factory(ZZ), n))
-    out.append(check_axioms(hf_ops(ZZ), min(n, 5)))
-    return out
-
-
-def _suite_duality(n: int):
-    check_weight(n, "duality suite")
-    return [
-        duality_check(ck_ops(ZZ), gl_ops(ZZ), bplus, pairing_hk, pairing_kt_hk, n),
-        duality_check(hf_ops(ZZ), kp_ops(ZZ), bplus, pairing_hf, pairing_kp_hf, n),
-    ]
-
-
-def _suite_diagrams(n: int):
-    check_weight(n, "diagrams suite")
-    return [morphisms.diagram_check("d1", n), morphisms.diagram_check("d2", n)]
-
-
-def _suite_special(n: int):
-    check_weight(n, "special suite")
-    return [
-        special.proposition_check(n),
-        special.growth_formulas_check(n),
-        special.lemma_check(n + 1),
-    ]
-
-
-def _consistency_report(sol, closed) -> Report:
-    """The recursive and the closed DSE solution agree in every degree, in
-    H_F and then in H_K."""
-    n = sol.max_degree
-    rep = Report("solution consistency", n)
-    rep.law(
-        "recursive matches closed form",
-        range(1, n + 1),
-        lambda d: difference_witness(f"degree {d}", sol.hf(d), closed.hf(d))
-        or difference_witness(f"degree {d}", sol.hk(d), closed.hk(d)),
-    )
-    return rep
-
-
-def _suite_dse(n: int):
-    sol, closed = _dse_solutions(n)
-    rep = _consistency_report(sol, closed)
-    rep.law(
-        "ladders at p=1",
-        range(1, n + 1),
-        lambda d: None if dse_mod.ladder_specialization_holds(closed, d) else f"degree {d}",
-    )
-    degrees = dse_mod.coproduct_check_degrees(n)
-    return [rep, dse_mod.coproduct_theorem_check(*degrees, closed)]
-
-
-_SUITES = {
-    "axioms": (_suite_axioms, 5),
-    "duality": (_suite_duality, 5),
-    "diagrams": (_suite_diagrams, 5),
-    "special": (_suite_special, 5),
-    "dse": (_suite_dse, 6),
-}
-
-
 def _cmd_check(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        runner, default_degree = _SUITES[name]
-        degree = args.max_degree if args.max_degree is not None else default_degree
-        reports.extend(runner(_nonnegative("--max-degree", degree)))
+        degree = SUITES[name].degree if args.max_degree is None else args.max_degree
+        reports.extend(suites.run(name, _nonnegative("--max-degree", degree)))
     return _emit_reports(reports, args.format)
 
 
@@ -740,12 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_growth.add_argument("--k", type=int, default=1)
     p_growth.add_argument("--expr", required=True)
     p_check = special_sub.add_parser("check")
-    p_check.add_argument("--max-degree", type=int, default=5)
+    p_check.add_argument("--max-degree", type=int, default=None)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
+    p_check.set_defaults(func=_cmd_check, suite="special")  # check --suite special
     p_special.set_defaults(func=_cmd_special)
 
     p_dse = sub.add_parser("dse", help="solve the combinatorial Dyson-Schwinger equation")
-    p_dse.add_argument("--max-degree", type=int, default=6)
+    p_dse.add_argument("--max-degree", type=int, default=SUITES["dse"].degree)
     p_dse.add_argument("--p", help="rational specialization, e.g. 2 or 1/2")
     p_dse.add_argument("--algebra", choices=("ck", "foissy"), default="ck")
     p_dse.add_argument("--check-coproduct", action="store_true")
@@ -755,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="run a verification suite")
     p_chk.add_argument(
         "--suite",
-        choices=tuple(_SUITES) + ("all",),
+        choices=tuple(SUITES) + ("all",),
         required=True,
     )
     p_chk.add_argument("--max-degree", type=int, default=None)

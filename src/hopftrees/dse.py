@@ -165,13 +165,6 @@ def coproduct_coefficient(ops, powers: dict, n: int, k: int) -> LinComb:
     return acc
 
 
-def coproduct_check_degrees(max_degree: int) -> tuple:
-    """The (H_K, H_F) degrees to which the coproduct formulas are checked for
-    a solution to max_degree: at most 6 and 5, as the planar side's Catalan
-    growth sets the cost."""
-    return min(max_degree, 6), min(max_degree, 5)
-
-
 def coproduct_theorem_check(
     max_degree_hk: int, max_degree_hf: int, sol: DSESolution
 ) -> Report:

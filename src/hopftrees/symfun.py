@@ -372,11 +372,14 @@ def _h_matrix(n: int):
 
 def to_h_basis(x: LinComb) -> LinComb:
     """Coefficients of a symmetric element over the products h_lambda, in
-    the ring of x."""
+    the ring of x.  The matrix of each degree expands every h_lambda of that
+    weight, so a degree above the ceiling is refused before any is built."""
     ring = x.ring
     by_degree: dict[int, dict] = {}
     for lam, c in x.terms.items():
         by_degree.setdefault(lam.weight, {})[lam] = c
+    for n in by_degree:
+        check_weight(n, "Sym pairing")
     out = {}
     for n, terms in by_degree.items():
         lams, inverse = _h_matrix(n)

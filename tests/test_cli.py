@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hopftrees import cli, special
+from hopftrees import cli, special, suites, symfun
 from hopftrees.cli import (
     ExprParseError,
     parse_expr,
@@ -233,6 +233,21 @@ def test_cli_op_pair(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+@pytest.mark.parametrize(
+    "algebra, scalars, expr, expr2, value",
+    [
+        ("ck", "rational", "1/3*(<>)", "(<>)", "1/3"),
+        ("sym", "poly", "(1 + p)*m[1]", "m[1]", "1 + p"),
+    ],
+)
+def test_cli_op_pair_json(capsys, algebra, scalars, expr, expr2, value):
+    # the value is rendered by its ring, as lincomb_json renders coefficients
+    argv = ["op", "--algebra", algebra, "--kind", "pair", "--scalars", scalars]
+    argv += ["--expr", expr, "--expr2", expr2, "--format", "json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"algebra": algebra, "value": value}
+
+
 def test_cli_sym_pairing_over_polynomials(capsys):
     # the h-to-m solve is over QQ, and the pairing runs in the input's ring
     code = run(
@@ -406,7 +421,9 @@ def test_cli_check_json(capsys):
 def test_cli_check_failure_exit_code(monkeypatch, capsys):
     failing = Report("forced failure", 1)
     failing.add("broken law", False, witness="w")
-    monkeypatch.setitem(cli._SUITES, "axioms", (lambda n: [failing], 1))
+    reports = {"forced": (lambda n: n, lambda d, _: failing)}
+    forced = suites.Suite(1, lambda n: n, "forced suite", reports)
+    monkeypatch.setitem(suites.SUITES, "axioms", forced)
     assert run(["check", "--suite", "axioms"]) == 1
     assert "FAILURES PRESENT" in capsys.readouterr().out
 
@@ -459,8 +476,8 @@ def test_integral_suites_run_over_zz(monkeypatch, capsys):
         seen.extend(x.ring for x in args if isinstance(x, HopfOps))
         return Report("stub", 0)
 
-    monkeypatch.setattr(cli, "check_axioms", record)
-    monkeypatch.setattr(cli, "duality_check", record)
+    monkeypatch.setattr(suites, "check_axioms", record)
+    monkeypatch.setattr(suites, "duality_check", record)
     assert run(["check", "--suite", "axioms", "--max-degree", "1"]) == 0
     assert run(["check", "--suite", "duality", "--max-degree", "1"]) == 0
     capsys.readouterr()
@@ -477,7 +494,7 @@ def test_special_suite_grafts_over_zz_only(monkeypatch):
 
     monkeypatch.setattr(special, "gl_ops", recording)
     special.epsilon.cache_clear()  # so the recursion asks too
-    assert all(rep.passed for rep in cli._suite_special(5))
+    assert all(rep.passed for rep in suites.run("special", 5))
     assert seen and all(ring is ZZ for ring in seen)
 
 
@@ -502,7 +519,7 @@ def test_non_integral_constant_over_zz_is_an_error(monkeypatch, capsys):
     with pytest.raises(TypeError, match="integer"):
         check_axioms(broken, 2)
     # neither a pass nor a usage error (exit 2): the CLI lets it propagate
-    monkeypatch.setattr(cli, "nsym_ops", lambda ring: broken)
+    monkeypatch.setattr(suites, "nsym_ops", lambda ring: broken)
     with pytest.raises(TypeError, match="integer"):
         run(["check", "--suite", "axioms", "--max-degree", "2"])
     assert "ALL PASS" not in capsys.readouterr().out
@@ -577,7 +594,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
         raise ValueError("broken product")
 
     monkeypatch.setattr(
-        cli,
+        suites,
         "nsym_ops",
         lambda ring: HopfOps(
             name="NSym",
@@ -679,6 +696,26 @@ def test_user_input_above_the_ceiling_is_refused(monkeypatch, capsys):
         assert captured.err == (
             f"error: {what} at weight {n} exceeds ceiling {degree_ceiling()}\n"
         )
+
+
+def test_sym_pairing_above_the_ceiling_is_refused_before_its_matrix(
+    monkeypatch, capsys
+):
+    monkeypatch.delenv("HOPFTREES_MAX_DEGREE", raising=False)
+    n = degree_ceiling() + 1
+
+    def no_work(degree):
+        raise AssertionError("h matrix built above the ceiling")
+
+    monkeypatch.setattr(symfun, "_h_matrix", no_work)
+    part = f"m[{n}]"
+    argv = ["op", "--algebra", "sym", "--kind", "pair", "--expr", part, "--expr2", part]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: Sym pairing at weight {n} exceeds ceiling {degree_ceiling()}\n"
+    )
 
 
 def test_poly_coefficient_needs_poly_mode():

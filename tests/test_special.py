@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from hopftrees import special
+from hopftrees import special, suites
 from hopftrees.freemodule import LinComb, TensorElem, accumulate, as_lincomb
 from hopftrees.hopf_trees import gl_ops
 from hopftrees.scalar import QQ, ZZ
@@ -168,7 +168,7 @@ def test_growth_sweep_small():
 
 
 def _suite(n):
-    return [proposition_check(n), growth_formulas_check(n), lemma_check(n + 1)]
+    return suites.run("special", n)
 
 
 def _add_one(x: LinComb, basis) -> LinComb:
